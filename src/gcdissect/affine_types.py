@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import AmbiguousGeometryError, InvalidQuadrangleError
-from .scalars import Scalar, is_exact
+from .scalars import Scalar, is_exact, scalar_close
 
 Point = tuple[Scalar, Scalar]
 Quad = tuple[Point, Point, Point, Point]
@@ -125,10 +125,7 @@ def is_affine_kite(cls: AffineClass, tol: Scalar = 0) -> bool:
         return True
     if not isinstance(cls, GenericQuad):
         return False
-    lhs = cls.beta * (2 - cls.alpha)
-    if is_exact(lhs) and is_exact(tol):
-        return abs(Fraction(lhs) - 1) <= tol
-    return abs(float(lhs) - 1.0) <= float(tol)
+    return scalar_close(cls.beta * (2 - cls.alpha), 1, tol)
 
 
 def canonicalize(cls: AffineClass) -> AffineClass:
@@ -153,18 +150,12 @@ def class_close(lhs: AffineClass, rhs: AffineClass, tol: Scalar = 0) -> bool:
         return (
             isinstance(lhs, Trapezoid)
             and isinstance(rhs, Trapezoid)
-            and _close(lhs.gamma, rhs.gamma, tol)
+            and scalar_close(lhs.gamma, rhs.gamma, tol)
         )
     for cand in (rhs, flip(rhs)):
-        if _close(lhs.alpha, cand.alpha, tol) and _close(lhs.beta, cand.beta, tol):
+        if scalar_close(lhs.alpha, cand.alpha, tol) and scalar_close(lhs.beta, cand.beta, tol):
             return True
     return False
-
-
-def _close(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    if is_exact(a) and is_exact(b) and is_exact(tol):
-        return abs(Fraction(a) - Fraction(b)) <= tol
-    return abs(float(a) - float(b)) <= float(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +187,76 @@ def lerp(p: Point, q: Point, t: Scalar) -> Point:
     return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
-def quad_is_exact(quad: Quad) -> bool:
-    return all(is_exact(x) and is_exact(y) for x, y in quad)
+# ---------------------------------------------------------------------------
+# labeled quads and cuts
+
+SIDE_OPENING = "opening"
+SIDE_CLOSING = "closing"
+SIDE_CONSTANT = "constant"
+
+
+def _side_types(cls: AffineClass) -> tuple[str, str, str, str]:
+    if isinstance(cls, GenericQuad):
+        return (SIDE_OPENING, SIDE_CLOSING, SIDE_CLOSING, SIDE_OPENING)
+    if isinstance(cls, Trapezoid):
+        return (SIDE_CONSTANT, SIDE_CLOSING, SIDE_CONSTANT, SIDE_OPENING)
+    return (SIDE_CONSTANT,) * 4
+
+
+@dataclass(frozen=True)
+class LabeledQuad:
+    """Four concrete vertices in the reference labeling of their class.
+
+    For a generic class the sides ab and dc extend to one apex and ad, bc
+    to the other; for a trapezoid, bc is the short parallel side and ad the
+    long one.  Either orientation is allowed; mirror-labeled quads carry
+    the class of the mirror labeling.
+    """
+
+    cls: AffineClass
+    a: Point
+    b: Point
+    c: Point
+    d: Point
+
+    @property
+    def points(self) -> Quad:
+        return (self.a, self.b, self.c, self.d)
+
+    @property
+    def side_types(self) -> tuple[str, str, str, str]:
+        return _side_types(self.cls)
+
+    def side(self, i: int) -> tuple[Point, Point]:
+        pts = self.points
+        return pts[i], pts[(i + 1) % 4]
+
+    @property
+    def is_ccw(self) -> bool:
+        return cross(vsub(self.b, self.a), vsub(self.c, self.b)) > 0
+
+    def mirrored(self) -> "LabeledQuad":
+        """Relabel with reversed orientation; generic params become the flip."""
+        if isinstance(self.cls, GenericQuad):
+            return LabeledQuad(flip(self.cls), self.a, self.d, self.c, self.b)
+        if isinstance(self.cls, Trapezoid):
+            return LabeledQuad(self.cls, self.d, self.c, self.b, self.a)
+        return LabeledQuad(self.cls, self.a, self.d, self.c, self.b)
+
+
+@dataclass(frozen=True)
+class CutRecord:
+    """One straight cut, kept with the quad it subdivided.
+
+    start_side and end_side index the parent's sides (0 = ab, 1 = bc,
+    2 = cd, 3 = da); a glass cut always joins two opposite sides.
+    """
+
+    parent: Quad
+    start: Point
+    end: Point
+    start_side: int
+    end_side: int
 
 
 # ---------------------------------------------------------------------------

@@ -14,28 +14,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .affine_types import (
     AffineClass,
+    CutRecord,
     GenericQuad,
+    LabeledQuad,
     Parallelogram,
     Point,
     Trapezoid,
-    canonicalize,
     classify_quadrangle,
     flip,
 )
-from .composition import ClassSet, ClassTerm, Interval, Op, QCurve, combine
+from .composition import ClassSet, ClassTerm, Interval, Op, combine
 from .errors import GcError, PlanFormatError
-from .families import FamilyId, family_beta, family_membership
+from .families import FamilyId, family_beta
 from .realizer import (
     Construction,
-    CutRecord,
     DissectionPlan,
-    LabeledQuad,
     dissect_even_general,
     dissect_odd,
     dissect_por5,
@@ -106,11 +105,22 @@ def class_from_doc(doc: object) -> AffineClass:
     raise PlanFormatError(f"unknown class kind: {kind!r}")
 
 
-def class_tol(doc: object) -> float:
-    """The tolerance a class document declares, 0 when absent."""
-    if isinstance(doc, dict) and "tol" in doc:
-        return float(doc["tol"])
-    return 0.0
+def _tol_from_doc(value: object) -> float:
+    """A declared tolerance: a finite number >= 0."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise PlanFormatError(f"bad tolerance: {value!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise PlanFormatError(f"bad tolerance: {value!r}")
+    return tol
+
+
+def _list_from_doc(doc: dict, field: str) -> list:
+    value = doc.get(field, [])
+    if not isinstance(value, list):
+        raise PlanFormatError(f"{field} must be a list, got {value!r}")
+    return value
 
 
 def _point_to_doc(p: Point) -> list:
@@ -164,12 +174,15 @@ def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise PlanFormatError(f"bad construction params: {params!r}")
-        items = tuple(
-            (k, v if isinstance(v, int) else scalar_from_json(v))
-            for k, v in params.items()
-        )
+        try:
+            items = tuple(
+                (k, v if isinstance(v, int) else scalar_from_json(v))
+                for k, v in params.items()
+            )
+        except ValueError as exc:
+            raise PlanFormatError(f"bad construction params: {params!r}") from exc
         return Construction(doc["construction"], items)
-    if doc.get("op") not in ("dot", "colon"):
+    if doc.get("op") not in ("dot", "colon") or not {"left", "right"} <= doc.keys():
         raise PlanFormatError(f"bad tree node: {doc!r}")
     return Node(
         Op.DOT if doc["op"] == "dot" else Op.COLON,
@@ -230,20 +243,19 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
         if field not in doc:
             raise PlanFormatError(f"plan document lacks {field!r}")
     cls = class_from_doc(doc["class"])
-    tol = max(class_tol(doc["class"]), float(doc.get("tol", 0.0)))
+    declared = (doc["class"].get("tol", 0.0), doc.get("tol", 0.0))
+    tol = max(_tol_from_doc(value) for value in declared)
     root_pts = _points_from_doc(doc["root"], "root")
     root_cls = classify_quadrangle(root_pts, tol=tol).cls
     root = LabeledQuad(root_cls, *root_pts)
     tiles = []
-    if not isinstance(doc["tiles"], list):
-        raise PlanFormatError("tiles must be a list")
-    for i, tdoc in enumerate(doc["tiles"]):
+    for i, tdoc in enumerate(_list_from_doc(doc, "tiles")):
         if not isinstance(tdoc, dict):
             raise PlanFormatError(f"bad tile {i}: {tdoc!r}")
         pts = _points_from_doc(tdoc.get("points"), f"tile {i}")
         tiles.append(LabeledQuad(class_from_doc(tdoc.get("class")), *pts))
     cuts = []
-    for i, cdoc in enumerate(doc.get("cuts", ())):
+    for i, cdoc in enumerate(_list_from_doc(doc, "cuts")):
         if not isinstance(cdoc, dict):
             raise PlanFormatError(f"bad cut {i}: {cdoc!r}")
         try:
@@ -258,7 +270,10 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanFormatError(f"bad cut {i}: {cdoc!r}") from exc
-    pinned = tuple(scalar_from_json(x) for x in doc.get("pinned", ()))
+    try:
+        pinned = tuple(scalar_from_json(x) for x in _list_from_doc(doc, "pinned"))
+    except ValueError as exc:
+        raise PlanFormatError(f"bad pinned values: {doc['pinned']!r}") from exc
     plan = DissectionPlan(
         root=root,
         tiles=tuple(tiles),
@@ -382,6 +397,7 @@ def report_to_doc(report: VerificationReport) -> dict:
         "area_deficit": scalar_to_json(report.area_deficit),
         "max_overlap_area": scalar_to_json(report.max_overlap_area),
         "gc_cut_violations": list(report.gc_cut_violations),
+        "outside_vertices": list(report.outside_vertices),
     }
 
 
@@ -422,8 +438,17 @@ def _parse_points(text: str) -> tuple[Point, Point, Point, Point]:
     return (a, b, c, d)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors also print {"error": ...} on stdout before exit 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        _emit({"error": f"{self.prog}: {message}"})
+        self.exit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcdissect",
         description="Decide, construct, and verify glass-cut self-affine "
         "dissections of convex quadrangles.",

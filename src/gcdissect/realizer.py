@@ -2,11 +2,12 @@
 
 A realized dissection is a DissectionPlan: a root quadrangle with labeled
 vertices, the tiles that cover it, and the cut segments that produced them.
-realize_tree walks a cut tree top down, choosing concrete operand classes
-at every node so that the composition algebra is satisfied, and emits one
-tile per leaf.  The dissect_* functions package the known recipes (pair
-chains for trapezoids, odd tile counts, fans, and the two recipes that give
-up the opposite-side cut discipline) as plans.
+realize_tree walks a cut tree top down; at every node the glueing table's
+inverse (composition.decompose) picks concrete operand classes and the
+row's cut geometry (composition.cut_quad) places them, one tile per leaf.
+The dissect_* functions package the known recipes (pair chains for
+trapezoids, odd tile counts, fans, and the two recipes that give up the
+opposite-side cut discipline) as plans.
 
 All geometry is affine.  Exact inputs stay exact: every cut point is a
 rational combination of the parent's vertices.
@@ -17,11 +18,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .affine_types import (
     AffineClass,
+    CutRecord,
     GenericQuad,
+    LabeledQuad,
     Parallelogram,
     Point,
     Trapezoid,
@@ -38,22 +41,16 @@ from .affine_types import (
     vsub,
 )
 from .composition import (
-    _QC,
-    _QP,
-    _PP,
-    _TI,
-    _TP,
     ClassSet,
     ClassTerm,
-    Interval,
     Op,
-    _quotients_equal,
-    _tokens,
     combine,
+    cut_quad,
+    decompose,
     member,
 )
 from .errors import UnrealizableError
-from .scalars import Scalar, exactify, is_exact
+from .scalars import Scalar, exactify, scalar_close
 from .treesearch import LEAF, ExtTree, Leaf, Node, evaluate
 
 # Tolerance for matching classes at internal nodes when any scalar in play
@@ -63,66 +60,6 @@ INTERNAL_MATCH_TOL = 1e-12
 # Stop width and residual for the one-dimensional root finding inside
 # dissect_even_general.
 BISECTION_TOL = Fraction(1, 10**12)
-
-SIDE_OPENING = "opening"
-SIDE_CLOSING = "closing"
-SIDE_CONSTANT = "constant"
-
-
-def _side_types(cls: AffineClass) -> tuple[str, str, str, str]:
-    if isinstance(cls, GenericQuad):
-        return (SIDE_OPENING, SIDE_CLOSING, SIDE_CLOSING, SIDE_OPENING)
-    if isinstance(cls, Trapezoid):
-        return (SIDE_CONSTANT, SIDE_CLOSING, SIDE_CONSTANT, SIDE_OPENING)
-    return (SIDE_CONSTANT,) * 4
-
-
-@dataclass(frozen=True)
-class LabeledQuad:
-    """Four concrete vertices in the reference labeling of their class.
-
-    For a generic class the sides ab and dc extend to one apex and ad, bc
-    to the other; for a trapezoid, bc is the short parallel side and ad the
-    long one.  Either orientation is allowed; mirror-labeled quads carry
-    the class of the mirror labeling.
-    """
-
-    cls: AffineClass
-    a: Point
-    b: Point
-    c: Point
-    d: Point
-
-    @property
-    def points(self) -> tuple[Point, Point, Point, Point]:
-        return (self.a, self.b, self.c, self.d)
-
-    @property
-    def side_types(self) -> tuple[str, str, str, str]:
-        return _side_types(self.cls)
-
-    def side(self, i: int) -> tuple[Point, Point]:
-        pts = self.points
-        return pts[i], pts[(i + 1) % 4]
-
-    @property
-    def is_ccw(self) -> bool:
-        return cross(vsub(self.b, self.a), vsub(self.c, self.b)) > 0
-
-
-@dataclass(frozen=True)
-class CutRecord:
-    """One straight cut, kept with the quad it subdivided.
-
-    start_side and end_side index the parent's sides (0 = ab, 1 = bc,
-    2 = cd, 3 = da); a glass cut always joins two opposite sides.
-    """
-
-    parent: tuple[Point, Point, Point, Point]
-    start: Point
-    end: Point
-    start_side: int
-    end_side: int
 
 
 @dataclass(frozen=True)
@@ -170,17 +107,8 @@ def standard_placement(cls: AffineClass) -> LabeledQuad:
     return LabeledQuad(cls, (zero, zero), (one, zero), (one, one), (zero, one))
 
 
-def _mirror(lq: LabeledQuad) -> LabeledQuad:
-    """Relabel with reversed orientation; generic params become the flip."""
-    if isinstance(lq.cls, GenericQuad):
-        return LabeledQuad(flip(lq.cls), lq.a, lq.d, lq.c, lq.b)
-    if isinstance(lq.cls, Trapezoid):
-        return LabeledQuad(lq.cls, lq.d, lq.c, lq.b, lq.a)
-    return LabeledQuad(lq.cls, lq.a, lq.d, lq.c, lq.b)
-
-
 def _ccw(lq: LabeledQuad) -> LabeledQuad:
-    return lq if lq.is_ccw else _mirror(lq)
+    return lq if lq.is_ccw else lq.mirrored()
 
 
 def _meet(p: Point, q: Point, r: Point, s: Point) -> Point:
@@ -192,214 +120,6 @@ def _meet(p: Point, q: Point, r: Point, s: Point) -> Point:
 
 # ---------------------------------------------------------------------------
 # one cut
-
-
-def _apex_params(cls: AffineClass) -> tuple[Scalar, Scalar]:
-    if isinstance(cls, GenericQuad):
-        return cls.alpha, cls.beta
-    if isinstance(cls, Trapezoid):
-        return cls.gamma, cls.gamma
-    raise UnrealizableError("parallelograms have no apex to cut towards")
-
-
-def _cut_apex(
-    parent: LabeledQuad, eff_l: AffineClass, eff_r: AffineClass
-) -> tuple[LabeledQuad, LabeledQuad, CutRecord]:
-    """Cut from side ab to side dc, towards their common apex.
-
-    Both operands are generic or unmirrored trapezoids; the child at the
-    a end keeps the parent's a corner.
-    """
-    p1, q1 = _apex_params(eff_l)
-    pp, qp = _apex_params(parent.cls)
-    x = lerp(parent.a, parent.b, (1 - p1) / (1 - pp))
-    y = lerp(parent.d, parent.c, (1 - q1) / (1 - qp))
-    child_l = LabeledQuad(eff_l, parent.a, x, y, parent.d)
-    child_r = LabeledQuad(eff_r, x, parent.b, parent.c, y)
-    return child_l, child_r, CutRecord(parent.points, x, y, 0, 2)
-
-
-def _cut_colon(
-    parent: LabeledQuad, eff_l: GenericQuad, eff_r: GenericQuad
-) -> tuple[LabeledQuad, LabeledQuad, CutRecord]:
-    """Cut from ab to dc with the two children facing opposite apexes.
-
-    One child keeps the parent's orientation, the other is mirror-labeled.
-    Which one depends on the order of the two cross products alpha1*beta2
-    and beta1*alpha2; at a tie the parent is the trapezoid they glue to.
-    """
-    a1, b1 = eff_l.alpha, eff_l.beta
-    u = a1 * eff_r.beta
-    v = b1 * eff_r.alpha
-    if is_exact(u) and is_exact(v):
-        swapped = u > v
-    else:
-        swapped = not _quotients_equal(u, v) and u > v
-    if not swapped:
-        x = lerp(parent.a, parent.b, (1 - a1) / (1 - u))
-        y = lerp(parent.d, parent.c, (1 - b1) / (1 - v))
-        child_l = LabeledQuad(eff_l, parent.a, x, y, parent.d)
-        child_r = LabeledQuad(eff_r, y, parent.c, parent.b, x)
-    else:
-        x = lerp(parent.a, parent.b, (1 - b1) / (1 - v))
-        y = lerp(parent.d, parent.c, (1 - a1) / (1 - u))
-        child_l = LabeledQuad(eff_l, parent.d, y, x, parent.a)
-        child_r = LabeledQuad(eff_r, x, parent.b, parent.c, y)
-    return child_l, child_r, CutRecord(parent.points, x, y, 0, 2)
-
-
-def _cut_between_parallels(
-    parent: LabeledQuad, g_a: Scalar, g_far: Scalar, take_lam: Callable[[], Scalar]
-) -> tuple[LabeledQuad, LabeledQuad, Point, Point]:
-    """Cut a trapezoid parent from side da to side bc.
-
-    Both children are mirror-placed trapezoids; the one with ratio g_a
-    takes the parent's a corner.  take_lam is consulted only when the
-    ratios agree with the parent's (the one case with a free cut
-    position); otherwise the position is forced by the three ratios.
-    """
-    gp = parent.cls.gamma
-    if g_a == gp and g_far == gp:
-        lam = take_lam()
-        if lam <= 0:
-            raise UnrealizableError(f"pinned cut ratio {lam} must be positive")
-        p = lerp(parent.a, parent.d, 1 / (1 + lam))
-        q = lerp(parent.b, parent.c, 1 / (1 + lam))
-        near = LabeledQuad(Trapezoid(g_a), parent.a, parent.b, q, p)
-        far = LabeledQuad(Trapezoid(g_far), p, q, parent.c, parent.d)
-        return near, far, p, q
-    lam = (gp - g_a) / (1 - gp * g_far)
-    if lam <= 0:
-        raise UnrealizableError(
-            f"trapezoid ratio {gp} does not lie above the glued ratio {g_a}"
-        )
-    p = lerp(parent.a, parent.d, 1 / (1 + lam * g_far))
-    q = lerp(parent.b, parent.c, g_a / (g_a + lam))
-    near = LabeledQuad(Trapezoid(g_a), parent.a, parent.b, q, p)
-    far = LabeledQuad(Trapezoid(g_far), parent.c, parent.d, p, q)
-    return near, far, p, q
-
-
-def _cut_parallelogram_tt(
-    parent: LabeledQuad, g_a: Scalar, g_far: Scalar
-) -> tuple[LabeledQuad, LabeledQuad, Point, Point]:
-    """Split a parallelogram into two mirror-placed trapezoids.
-
-    The cut position is forced: the g_a child sits at the a corner with its
-    short parallel side along ad.
-    """
-    u = (1 - g_far) / (1 - g_a * g_far)
-    t = g_a * u
-    p = lerp(parent.a, parent.d, t)
-    q = lerp(parent.b, parent.c, u)
-    near = LabeledQuad(Trapezoid(g_a), q, p, parent.a, parent.b)
-    far = LabeledQuad(Trapezoid(g_far), p, q, parent.c, parent.d)
-    return near, far, p, q
-
-
-def _cut_tp(
-    parent: LabeledQuad, g0: Scalar
-) -> tuple[LabeledQuad, LabeledQuad, Point, Point]:
-    """Trapezoid parent into a mirror-placed trapezoid plus parallelogram."""
-    gp = parent.cls.gamma
-    if not g0 < gp:
-        raise UnrealizableError(
-            f"parallelogram complement needs ratio below {gp}, got {g0}"
-        )
-    t = (1 - gp) / (1 - g0)
-    s = g0 * t / gp
-    p = lerp(parent.a, parent.d, t)
-    q = lerp(parent.b, parent.c, s)
-    near = LabeledQuad(Trapezoid(g0), parent.a, parent.b, q, p)
-    far = LabeledQuad(Parallelogram(), p, q, parent.c, parent.d)
-    return near, far, p, q
-
-
-def _cut_pp(
-    parent: LabeledQuad, lam: Scalar
-) -> tuple[LabeledQuad, LabeledQuad, Point, Point]:
-    if lam <= 0:
-        raise UnrealizableError(f"pinned cut ratio {lam} must be positive")
-    h = 1 / (1 + lam)
-    p = lerp(parent.a, parent.d, h)
-    q = lerp(parent.b, parent.c, h)
-    near = LabeledQuad(Parallelogram(), parent.a, parent.b, q, p)
-    far = LabeledQuad(Parallelogram(), p, q, parent.c, parent.d)
-    return near, far, p, q
-
-
-def _cut_node(
-    parent: LabeledQuad,
-    op: Op,
-    left: AffineClass,
-    left_flip: bool,
-    right: AffineClass,
-    right_flip: bool,
-    take_lam: Callable[[], Scalar],
-    check: bool,
-    tol: Scalar,
-) -> tuple[LabeledQuad, LabeledQuad, CutRecord]:
-    if check:
-        result = combine(ClassTerm(left, left_flip), ClassTerm(right, right_flip), op)
-        if not member(result, parent.cls, tol):
-            raise UnrealizableError(
-                f"glueing {left} and {right} cannot produce {parent.cls}"
-            )
-
-    def effective(cls: AffineClass, flagged: bool) -> AffineClass:
-        if isinstance(cls, GenericQuad) and flagged:
-            return flip(cls)
-        return cls
-
-    eff_l = effective(left, left_flip)
-    eff_r = effective(right, right_flip)
-    mirror_l = left_flip and isinstance(left, GenericQuad)
-    mirror_r = right_flip and isinstance(right, GenericQuad)
-
-    if op is Op.COLON:
-        child_l, child_r, cut = _cut_colon(parent, eff_l, eff_r)
-    else:
-        t_flag_l = left_flip and not isinstance(left, GenericQuad)
-        t_flag_r = right_flip and not isinstance(right, GenericQuad)
-        l_par = isinstance(eff_l, Parallelogram)
-        r_par = isinstance(eff_r, Parallelogram)
-        if l_par and r_par:
-            near, far, p, q = _cut_pp(parent, take_lam())
-            child_l, child_r = near, far
-        elif l_par or r_par:
-            g0 = eff_r.gamma if l_par else eff_l.gamma
-            near, far, p, q = _cut_tp(parent, g0)
-            child_l, child_r = (far, near) if l_par else (near, far)
-        elif t_flag_l and t_flag_r:
-            g1, g2 = eff_l.gamma, eff_r.gamma
-            if isinstance(parent.cls, Parallelogram):
-                if g1 <= g2:
-                    near, far, p, q = _cut_parallelogram_tt(parent, g1, g2)
-                    child_l, child_r = near, far
-                else:
-                    near, far, p, q = _cut_parallelogram_tt(parent, g2, g1)
-                    child_l, child_r = far, near
-            elif g1 <= g2:
-                near, far, p, q = _cut_between_parallels(parent, g1, g2, take_lam)
-                child_l, child_r = near, far
-            else:
-                near, far, p, q = _cut_between_parallels(parent, g2, g1, take_lam)
-                child_l, child_r = far, near
-        else:
-            child_l, child_r, cut = _cut_apex(parent, eff_l, eff_r)
-            if mirror_l:
-                child_l = _mirror(child_l)
-            if mirror_r:
-                child_r = _mirror(child_r)
-            return child_l, child_r, cut
-        cut = CutRecord(parent.points, p, q, 3, 1)
-        return child_l, child_r, cut
-
-    if mirror_l:
-        child_l = _mirror(child_l)
-    if mirror_r:
-        child_r = _mirror(child_r)
-    return child_l, child_r, cut
 
 
 def realize_cut(
@@ -420,8 +140,11 @@ def realize_cut(
     Children are returned in (left, right) order; the cut runs between
     opposite sides of the parent.
     """
-    tol = 0 if class_is_exact(parent.cls) and class_is_exact(left) and class_is_exact(right) else INTERNAL_MATCH_TOL
-    return _cut_node(
+    tol = _auto_tol(parent.cls, left, right)
+    result = combine(ClassTerm(left, left_flip), ClassTerm(right, right_flip), op)
+    if not member(result, parent.cls, tol):
+        raise UnrealizableError(f"glueing {left} and {right} cannot produce {parent.cls}")
+    return cut_quad(
         parent,
         op,
         left,
@@ -429,392 +152,7 @@ def realize_cut(
         right,
         right_flip,
         take_lam=lambda: Fraction(1) if lam is None else lam,
-        check=True,
-        tol=tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# choosing operand classes at a node
-
-_Token = tuple
-
-
-def _pick_interval(iv: Interval, prefer: Union[Scalar, None] = None) -> Scalar:
-    if prefer is not None and iv.contains(prefer):
-        return prefer
-    if iv.lo_closed:
-        return iv.lo
-    return (iv.lo + iv.hi) / 2
-
-
-def _pick_below(iv: Interval, bound: Scalar) -> Union[Scalar, None]:
-    """A member of iv strictly below bound, or None."""
-    if iv.lo >= bound:
-        return None
-    if iv.lo_closed:
-        return iv.lo
-    hi = min(iv.hi, bound)
-    return (iv.lo + hi) / 2
-
-
-def _intersect_feasible(iv: Interval, lo: Scalar, hi: Scalar) -> Union[Scalar, None]:
-    """A point of iv inside [lo, hi], treating all endpoints as open-ish."""
-    lo2 = max(iv.lo, lo)
-    hi2 = min(iv.hi, hi)
-    if lo2 > hi2:
-        return None
-    if lo2 == hi2:
-        return lo2 if iv.contains(lo2) and lo <= lo2 <= hi else None
-    return (lo2 + hi2) / 2
-
-
-def _close(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    if tol == 0:
-        return a == b
-    return abs(a - b) <= tol
-
-
-class _NodeSolver:
-    """Finds concrete operand classes at a tree node.
-
-    Given the class sets of the two subtrees, their edge flags, and the
-    class the parent quad carries, picks one member from each side whose
-    glueing contains the parent class.  Deterministic: tokens are tried in
-    the order the sets store them, first success wins.
-    """
-
-    def __init__(self, tol: Scalar) -> None:
-        self.tol = tol
-
-    def solve(
-        self,
-        set_l: ClassSet,
-        flip_l: bool,
-        set_r: ClassSet,
-        flip_r: bool,
-        op: Op,
-        target: AffineClass,
-    ) -> tuple[AffineClass, AffineClass]:
-        for tok_l in _tokens(set_l, flip_l):
-            for tok_r in _tokens(set_r, flip_r):
-                pair = self._try(tok_l, tok_r, op, target)
-                if pair is not None:
-                    eff_l, eff_r = pair
-                    return (
-                        self._to_subtree(eff_l, flip_l),
-                        self._to_subtree(eff_r, flip_r),
-                    )
-        raise UnrealizableError(
-            f"no operand choice glues to {target} at this node"
-        )
-
-    @staticmethod
-    def _to_subtree(eff: AffineClass, flagged: bool) -> AffineClass:
-        if flagged and isinstance(eff, GenericQuad):
-            return flip(eff)
-        return eff
-
-    # The cases mirror the glueing table rows, solved for the operands.
-
-    def _try(
-        self, tok_l: _Token, tok_r: _Token, op: Op, target: AffineClass
-    ) -> Union[tuple[AffineClass, AffineClass], None]:
-        kind_l, kind_r = tok_l[0], tok_r[0]
-        if op is Op.COLON:
-            if kind_l == _QP and kind_r == _QP:
-                return self._colon_pp(tok_l[1], tok_r[1], target)
-            if kind_l == _QP and kind_r == _QC:
-                pair = self._colon_pc(tok_l[1], tok_r[1], target)
-                return pair
-            if kind_l == _QC and kind_r == _QP:
-                pair = self._colon_pc(tok_r[1], tok_l[1], target)
-                return None if pair is None else (pair[1], pair[0])
-            if kind_l == _QC and kind_r == _QC:
-                return self._colon_cc(tok_l[1], tok_r[1], target)
-            return None
-
-        handlers = {
-            (_QP, _QP): lambda: self._dot_qq(tok_l[1], tok_r[1], target),
-            (_QP, _QC): lambda: self._dot_qc(tok_l[1], tok_r[1], target),
-            (_QC, _QP): lambda: self._swap(self._dot_qc(tok_r[1], tok_l[1], target)),
-            (_QC, _QC): lambda: self._dot_cc(tok_l[1], tok_r[1], target),
-            (_QP, _TP): lambda: self._dot_qt(tok_l[1], tok_r, target),
-            (_TP, _QP): lambda: self._swap(self._dot_qt(tok_r[1], tok_l, target)),
-            (_QP, _TI): lambda: self._dot_qti(tok_l[1], tok_r, target),
-            (_TI, _QP): lambda: self._swap(self._dot_qti(tok_r[1], tok_l, target)),
-            (_QC, _TP): lambda: self._dot_ct(tok_l[1], tok_r, target),
-            (_TP, _QC): lambda: self._swap(self._dot_ct(tok_r[1], tok_l, target)),
-            (_QC, _TI): lambda: self._dot_cti(tok_l[1], tok_r, target),
-            (_TI, _QC): lambda: self._swap(self._dot_cti(tok_r[1], tok_l, target)),
-            (_TP, _TP): lambda: self._dot_tt(tok_l, tok_r, target),
-            (_TP, _TI): lambda: self._dot_tt(tok_l, tok_r, target),
-            (_TI, _TP): lambda: self._dot_tt(tok_l, tok_r, target),
-            (_TI, _TI): lambda: self._dot_tt(tok_l, tok_r, target),
-            (_TP, _PP): lambda: self._dot_t_par(tok_l, tok_r, target),
-            (_TI, _PP): lambda: self._dot_t_par(tok_l, tok_r, target),
-            (_PP, _TP): lambda: self._swap(self._dot_t_par(tok_r, tok_l, target)),
-            (_PP, _TI): lambda: self._swap(self._dot_t_par(tok_r, tok_l, target)),
-            (_PP, _PP): lambda: self._dot_pp(tok_l, tok_r, target),
-        }
-        handler = handlers.get((kind_l, kind_r))
-        return None if handler is None else handler()
-
-    @staticmethod
-    def _swap(pair):
-        return None if pair is None else (pair[1], pair[0])
-
-    def _colon_pp(self, q1, q2, target):
-        u = q1.alpha * q2.beta
-        v = q1.beta * q2.alpha
-        if _quotients_equal(u, v):
-            if isinstance(target, Trapezoid) and self._eq(target.gamma, u):
-                return q1, q2
-            return None
-        lo, hi = (u, v) if u < v else (v, u)
-        if (
-            isinstance(target, GenericQuad)
-            and self._eq(target.alpha, lo)
-            and self._eq(target.beta, hi)
-        ):
-            return q1, q2
-        return None
-
-    def _colon_pc(self, q, curve, target):
-        rq = q.alpha / q.beta
-        rc = curve.quotient
-        if _quotients_equal(rq, rc):
-            if not isinstance(target, Trapezoid):
-                return None
-            b = target.gamma / q.alpha
-            if curve.betas.contains(b, self.tol):
-                return q, curve.at(b)
-            return None
-        if not isinstance(target, GenericQuad):
-            return None
-        if rc < rq:
-            b = target.beta / q.alpha
-            if curve.betas.contains(b, self.tol) and self._eq(
-                target.alpha, (rc / rq) * target.beta
-            ):
-                return q, curve.at(b)
-            return None
-        b = target.beta / (rc * q.beta)
-        if curve.betas.contains(b, self.tol) and self._eq(
-            target.alpha, (rq / rc) * target.beta
-        ):
-            return q, curve.at(b)
-        return None
-
-    def _colon_cc(self, c1, c2, target):
-        r1, r2 = c1.quotient, c2.quotient
-        if _quotients_equal(r1, r2):
-            if not isinstance(target, Trapezoid):
-                return None
-            product = target.gamma / r1
-        else:
-            if not isinstance(target, GenericQuad):
-                return None
-            lo_q, hi_q = (r1, r2) if r1 < r2 else (r2, r1)
-            if not self._eq(target.alpha, (lo_q / hi_q) * target.beta):
-                return None
-            product = target.beta / hi_q
-        return self._split_product(c1, c2, product)
-
-    def _dot_qq(self, q1, q2, target):
-        if (
-            isinstance(target, GenericQuad)
-            and self._eq(q1.alpha * q2.alpha, target.alpha)
-            and self._eq(q1.beta * q2.beta, target.beta)
-        ):
-            return q1, q2
-        return None
-
-    def _dot_qc(self, q, curve, target):
-        if not isinstance(target, GenericQuad):
-            return None
-        b = target.beta / q.beta
-        if curve.betas.contains(b, self.tol) and self._eq(
-            target.alpha, q.alpha * curve.quotient * b
-        ):
-            return q, curve.at(b)
-        return None
-
-    def _dot_cc(self, c1, c2, target):
-        if not isinstance(target, GenericQuad):
-            return None
-        r = c1.quotient * c2.quotient
-        if not self._eq(target.alpha, r * target.beta):
-            return None
-        return self._split_product(c1, c2, target.beta)
-
-    def _dot_qt(self, q, tok_t, target):
-        if tok_t[2] or not isinstance(target, GenericQuad):
-            return None
-        g = tok_t[1].gamma
-        if self._eq(q.alpha * g, target.alpha) and self._eq(q.beta * g, target.beta):
-            return q, tok_t[1]
-        return None
-
-    def _dot_qti(self, q, tok_i, target):
-        if tok_i[2] or not isinstance(target, GenericQuad):
-            return None
-        g = target.beta / q.beta
-        if tok_i[1].contains(g, self.tol) and self._eq(q.alpha * g, target.alpha):
-            return q, Trapezoid(g)
-        return None
-
-    def _dot_ct(self, curve, tok_t, target):
-        if tok_t[2] or not isinstance(target, GenericQuad):
-            return None
-        g = tok_t[1].gamma
-        b = target.beta / g
-        if curve.betas.contains(b, self.tol) and self._eq(
-            target.alpha, curve.quotient * target.beta
-        ):
-            return curve.at(b), tok_t[1]
-        return None
-
-    def _dot_cti(self, curve, tok_i, target):
-        if tok_i[2] or not isinstance(target, GenericQuad):
-            return None
-        if not self._eq(target.alpha, curve.quotient * target.beta):
-            return None
-        iv = tok_i[1]
-        g = _intersect_feasible(
-            iv, target.beta / curve.betas.hi, target.beta / curve.betas.lo
-        )
-        if g is None:
-            return None
-        b = target.beta / g
-        if not curve.betas.contains(b, self.tol):
-            return None
-        return curve.at(b), Trapezoid(g)
-
-    def _dot_tt(self, tok_l, tok_r, target):
-        flagged = tok_l[2]
-        if flagged != tok_r[2]:
-            return None
-        if not flagged:
-            if not isinstance(target, Trapezoid):
-                return None
-            if tok_l[0] == _TP and tok_r[0] == _TP:
-                g1, g2 = tok_l[1].gamma, tok_r[1].gamma
-                if self._eq(g1 * g2, target.gamma):
-                    return tok_l[1], tok_r[1]
-                return None
-            if tok_l[0] == _TP:
-                g1 = tok_l[1].gamma
-                g2 = target.gamma / g1
-                if tok_r[1].contains(g2, self.tol):
-                    return tok_l[1], Trapezoid(g2)
-                return None
-            if tok_r[0] == _TP:
-                g2 = tok_r[1].gamma
-                g1 = target.gamma / g2
-                if tok_l[1].contains(g1, self.tol):
-                    return Trapezoid(g1), tok_r[1]
-                return None
-            iv_l, iv_r = tok_l[1], tok_r[1]
-            g1 = _intersect_feasible(
-                iv_l, target.gamma / iv_r.hi, target.gamma / iv_r.lo
-            )
-            if g1 is None:
-                return None
-            g2 = target.gamma / g1
-            if not iv_r.contains(g2, self.tol):
-                return None
-            return Trapezoid(g1), Trapezoid(g2)
-        # mirror-placed pair: parent is anything from the joint minimum up,
-        # or a parallelogram
-        if isinstance(target, Parallelogram):
-            g1 = self._any_t(tok_l, None)
-            g2 = self._any_t(tok_r, g1)
-            return Trapezoid(g1), Trapezoid(g2)
-        if not isinstance(target, Trapezoid):
-            return None
-        gp = target.gamma
-        g1 = self._t_point(tok_l)
-        g2 = self._t_point(tok_r)
-        if g1 is not None and g2 is not None:
-            ok = min(g1, g2) < gp or (g1 == g2 == gp)
-            if not ok and self.tol:
-                ok = min(g1, g2) <= gp + self.tol
-            return (Trapezoid(g1), Trapezoid(g2)) if ok else None
-        if g1 is not None:
-            pair = self._mirror_point_interval(g1, tok_r[1], gp)
-            return None if pair is None else (Trapezoid(pair[0]), Trapezoid(pair[1]))
-        if g2 is not None:
-            pair = self._mirror_point_interval(g2, tok_l[1], gp)
-            return None if pair is None else (Trapezoid(pair[1]), Trapezoid(pair[0]))
-        iv_l, iv_r = tok_l[1], tok_r[1]
-        below = _pick_below(iv_l, gp)
-        if below is not None:
-            return Trapezoid(below), Trapezoid(_pick_interval(iv_r, gp))
-        below = _pick_below(iv_r, gp)
-        if below is not None:
-            return Trapezoid(_pick_interval(iv_l, gp)), Trapezoid(below)
-        if iv_l.contains(gp) and iv_r.contains(gp):
-            return Trapezoid(gp), Trapezoid(gp)
-        return None
-
-    @staticmethod
-    def _t_point(tok) -> Union[Scalar, None]:
-        return tok[1].gamma if tok[0] == _TP else None
-
-    @staticmethod
-    def _any_t(tok, prefer) -> Scalar:
-        if tok[0] == _TP:
-            return tok[1].gamma
-        return _pick_interval(tok[1], prefer)
-
-    def _mirror_point_interval(self, g1, iv, gp):
-        """Partner ratio for a fixed g1 under a mirror-placed pair."""
-        if g1 == gp:
-            if iv.contains(gp):
-                return g1, gp
-            g2 = _pick_below(iv, gp)
-            return None if g2 is None else (g1, g2)
-        if g1 < gp or (self.tol and g1 <= gp + self.tol):
-            return g1, _pick_interval(iv, gp)
-        g2 = _pick_below(iv, gp)
-        return None if g2 is None else (g1, g2)
-
-    def _dot_t_par(self, tok_t, tok_p, target):
-        if not tok_t[2] or tok_p[1]:
-            return None
-        if not isinstance(target, Trapezoid):
-            return None
-        gp = target.gamma
-        if tok_t[0] == _TP:
-            g0 = tok_t[1].gamma
-            if g0 < gp or (self.tol and g0 <= gp + self.tol):
-                return tok_t[1], Parallelogram()
-            return None
-        g0 = _pick_below(tok_t[1], gp)
-        return None if g0 is None else (Trapezoid(g0), Parallelogram())
-
-    def _dot_pp(self, tok_l, tok_r, target):
-        if tok_l[1] or tok_r[1]:
-            return None
-        if isinstance(target, Parallelogram):
-            return Parallelogram(), Parallelogram()
-        return None
-
-    def _split_product(self, c1, c2, product):
-        """Betas (b1, b2) on the two curves with b1 * b2 = product."""
-        b1 = _intersect_feasible(
-            c1.betas, product / c2.betas.hi, product / c2.betas.lo
-        )
-        if b1 is None:
-            return None
-        b2 = product / b1
-        if not c2.betas.contains(b2, self.tol):
-            return None
-        return c1.at(b1), c2.at(b2)
-
-    def _eq(self, a: Scalar, b: Scalar) -> bool:
-        return _close(a, b, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +171,6 @@ class _TreeRealizer:
         self.cache = cache
         self.pinned = deque(pinned)
         self.used: list[Scalar] = []
-        self.solver = _NodeSolver(tol)
         self.tol = tol
         self.tiles: list[LabeledQuad] = []
         self.cuts: list[CutRecord] = []
@@ -849,19 +186,11 @@ class _TreeRealizer:
             return
         set_l = evaluate(t.left, self.leaf, self.cache)
         set_r = evaluate(t.right, self.leaf, self.cache)
-        cls_l, cls_r = self.solver.solve(
-            set_l, t.left_flip, set_r, t.right_flip, t.op, quad.cls
+        cls_l, cls_r = decompose(
+            set_l, t.left_flip, set_r, t.right_flip, t.op, quad.cls, self.tol
         )
-        child_l, child_r, cut = _cut_node(
-            quad,
-            t.op,
-            cls_l,
-            t.left_flip,
-            cls_r,
-            t.right_flip,
-            take_lam=self.take_lam,
-            check=False,
-            tol=self.tol,
+        child_l, child_r, cut = cut_quad(
+            quad, t.op, cls_l, t.left_flip, cls_r, t.right_flip, self.take_lam
         )
         self.cuts.append(cut)
         self.walk(t.left, child_l)
@@ -984,7 +313,7 @@ def dissect_trapezoid(gamma: Scalar, cls: GenericQuad, k: int) -> DissectionPlan
         )
     if k == 2:
         base = cls.alpha * cls.beta
-        if not _close(gamma, base, _auto_tol(cls, Trapezoid(gamma))):
+        if not scalar_close(gamma, base, _auto_tol(cls, Trapezoid(gamma))):
             raise UnrealizableError(
                 f"two copies only glue to ratio {base}, not {gamma}"
             )
@@ -1083,7 +412,7 @@ def _forced_pair_split(
     bisection residual; the two children are then copies of piece up to
     that residual.
     """
-    child_l, child_r, _ = _cut_colon(parent, piece, piece)
+    child_l, child_r, _ = cut_quad(parent, Op.COLON, piece, False, piece, False)
     return child_l, child_r
 
 

@@ -10,10 +10,16 @@ place.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
 Scalar = Union[Fraction, int, float]
+
+# Relative width of the tie band when comparing float quotients in the colon
+# rule.  Flipped float parameters reproduce the quotient only to roundoff, so
+# an exact == would misread "equal quotients" as a two-sided split.
+QUOTIENT_TIE_REL = 1e-12
 
 
 def is_exact(x: Scalar) -> bool:
@@ -30,10 +36,28 @@ def exactify(x: Scalar) -> Fraction:
 
 
 def scalar_close(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
-    """|a - b| <= tol, exact when all three values are exact."""
+    """|a - b| <= tol.  tol == 0 compares with ==; otherwise the test is exact
+    when all three values are exact and done in float when any is a float."""
+    if tol == 0:
+        return a == b
     if is_exact(a) and is_exact(b) and is_exact(tol):
-        return abs(Fraction(a) - Fraction(b)) <= Fraction(tol)
+        return abs(a - b) <= tol
     return abs(float(a) - float(b)) <= float(tol)
+
+
+def quotients_equal(u: Scalar, v: Scalar) -> bool:
+    """u == v for exact values; for floats, equal within the relative band
+    QUOTIENT_TIE_REL, which decides ties between glued quotients."""
+    if is_exact(u) and is_exact(v):
+        return u == v
+    uf, vf = float(u), float(v)
+    return abs(uf - vf) <= QUOTIENT_TIE_REL * max(abs(uf), abs(vf))
+
+
+def _finite(x: float, text: object) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -44,7 +68,7 @@ def parse_scalar(text: str) -> Scalar:
     """
     s = text.strip()
     try:
-        return Fraction(s) if ("/" in s or s.lstrip("+-").isdigit()) else float(s)
+        return Fraction(s) if ("/" in s or s.lstrip("+-").isdigit()) else _finite(float(s), text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a number: {text!r}") from exc
 
@@ -58,11 +82,15 @@ def scalar_to_json(x: Scalar) -> object:
 
 
 def scalar_from_json(obj: object) -> Scalar:
-    """Inverse of scalar_to_json."""
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, dict) and set(obj) >= {"dec"}:
-        return float(obj["dec"])
-    if isinstance(obj, int):
-        return Fraction(obj)
+    """Inverse of scalar_to_json; refuses malformed and non-finite values
+    with ValueError."""
+    try:
+        if isinstance(obj, str):
+            return Fraction(obj)
+        if isinstance(obj, dict) and set(obj) >= {"dec"}:
+            return _finite(float(obj["dec"]), obj)
+        if isinstance(obj, int):
+            return Fraction(obj)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad scalar encoding: {obj!r}") from exc
     raise ValueError(f"bad scalar encoding: {obj!r}")

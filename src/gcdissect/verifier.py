@@ -1,11 +1,12 @@
 """Independent checks that a dissection plan is what it claims to be.
 
 The verifier reads only coordinates.  It re-classifies every tile, sums
-areas, clips every pair of tiles against each other for overlap, and for
-glass-cut plans checks that each recorded cut runs between relative
-interior points of opposite sides of its quad.  Exact inputs are checked
-exactly; a positive tolerance scales with the root's area for the area
-checks and is passed through to classification.
+areas, checks every tile vertex lies in the root, clips every pair of tiles
+against each other for overlap, and for glass-cut plans checks that there
+is one recorded cut per tile after the first and that each runs between
+relative interior points of opposite sides of its quad.  Exact inputs are
+checked exactly; a positive tolerance scales with the root's area for the
+area and containment checks and is passed through to classification.
 
 Clipping is done with the Sutherland-Hodgman algorithm over the input
 scalars, so rational plans produce rational intersection areas and a
@@ -19,6 +20,7 @@ from typing import Sequence
 
 from .affine_types import (
     AffineClass,
+    CutRecord,
     Point,
     canonicalize,
     class_close,
@@ -28,31 +30,27 @@ from .affine_types import (
     vsub,
 )
 from .errors import AmbiguousGeometryError, InvalidQuadrangleError
-from .realizer import CutRecord, DissectionPlan
+from .realizer import DissectionPlan
 from .scalars import Scalar
 
 Polygon = Sequence[Point]
 
 
+def signed_area(pts: Polygon) -> Scalar:
+    """Area of a simple polygon, positive when its vertices run
+    counterclockwise."""
+    total = 0
+    n = len(pts)
+    for i in range(n):
+        x1, y1 = pts[i]
+        x2, y2 = pts[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total / 2
+
+
 def polygon_area(pts: Polygon) -> Scalar:
     """Unsigned area of a simple polygon."""
-    total = 0
-    n = len(pts)
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2
-
-
-def _signed_area2(pts: Polygon) -> Scalar:
-    total = 0
-    n = len(pts)
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total
+    return abs(signed_area(pts))
 
 
 def _clip_halfplane(subject: list[Point], a: Point, b: Point) -> list[Point]:
@@ -95,7 +93,7 @@ def convex_intersection_area(p: Polygon, q: Polygon) -> Scalar:
     """
     p = list(p)
     q = list(q)
-    if _signed_area2(q) < 0:
+    if signed_area(q) < 0:
         q = q[::-1]
     subject = p
     for i in range(len(q)):
@@ -123,6 +121,7 @@ class VerificationReport:
     area_deficit: Scalar
     max_overlap_area: Scalar
     gc_cut_violations: tuple[str, ...]
+    outside_vertices: tuple[str, ...] = ()
 
 
 def _interior_param(pt: Point, a: Point, b: Point, tol: Scalar) -> bool:
@@ -166,12 +165,15 @@ def verify_plan(
 ) -> VerificationReport:
     """Check a plan's geometry against its claims.
 
-    Four checks: every tile re-classifies to the expected class (up to
-    flip); tile areas sum to the root's area; no two tiles overlap in
-    positive area; and, for glass-cut plans, every recorded cut joins
-    relative interior points of opposite sides.  tol = 0 demands exact
-    agreement; a positive tol bounds the class parameters directly and
-    the area checks relative to the root's area.
+    Six checks: every tile re-classifies to the expected class (up to
+    flip); tile areas sum to the root's area; every tile vertex lies in the
+    (convex) root; no two tiles overlap in positive area; and, for
+    glass-cut plans, the plan records exactly one cut fewer than it has
+    tiles, and every recorded cut joins relative interior points of
+    opposite sides.  Tiles inside the root whose areas sum to the root's
+    and that do not overlap cover it.  tol = 0 demands exact agreement; a
+    positive tol bounds the class parameters directly and the area and
+    containment checks relative to the root's area.
 
     The expected class defaults to the root's own class, which is right
     for self-affine plans.  Pass it explicitly for plans whose tiles are
@@ -202,6 +204,28 @@ def verify_plan(
     area_deficit = abs(root_area - tile_area)
     area_ok = area_deficit <= tol * root_area
 
+    # Each tile vertex v must be on the inner side of every root edge pq:
+    # the signed area of (p, q, v), taken in the root's orientation, is at
+    # least -tol * root_area.  Compared doubled, as the linear form
+    # nx*x + ny*y + c, so without division; shared vertices are tested once.
+    root = plan.root.points
+    sign = 1 if signed_area(root) > 0 else -1
+    lines = []
+    for p, q in zip(root, root[1:] + root[:1]):
+        ex, ey = sign * (q[0] - p[0]), sign * (q[1] - p[1])
+        lines.append((-ey, ex, ey * p[0] - ex * p[1]))
+    slack = -2 * tol * root_area
+    first_seen: dict[Point, tuple[int, int]] = {}
+    for i, tile in enumerate(plan.tiles):
+        for k, v in enumerate(tile.points):
+            first_seen.setdefault(v, (i, k))
+    outside = [
+        f"tile {i} vertex {k} lies outside root side {j} by triangle area {-doubled / 2}"
+        for v, (i, k) in first_seen.items()
+        for j, (nx, ny, c) in enumerate(lines)
+        if (doubled := nx * v[0] + ny * v[1] + c) < slack
+    ]
+
     max_overlap: Scalar = 0
     tiles = plan.tiles
     for i in range(len(tiles)):
@@ -213,6 +237,11 @@ def verify_plan(
 
     violations: list[str] = []
     if plan.gc:
+        if len(plan.cuts) != len(plan.tiles) - 1:
+            violations.append(
+                f"glass-cut plan records {len(plan.cuts)} cuts for "
+                f"{len(plan.tiles)} tiles; it needs {len(plan.tiles) - 1}"
+            )
         for cut in plan.cuts:
             problem = _check_cut(cut, tol)
             if problem is not None:
@@ -221,6 +250,7 @@ def verify_plan(
     ok = (
         all(r.ok for r in tile_results)
         and area_ok
+        and not outside
         and overlap_ok
         and not violations
     )
@@ -230,4 +260,5 @@ def verify_plan(
         area_deficit=area_deficit,
         max_overlap_area=max_overlap,
         gc_cut_violations=tuple(violations),
+        outside_vertices=tuple(outside),
     )

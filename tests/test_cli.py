@@ -25,6 +25,7 @@ from gcdissect.cli import (
     dumps_plan,
     loads_plan,
     main,
+    plan_from_doc,
     render_svg,
     tree_from_doc,
     tree_to_doc,
@@ -100,6 +101,22 @@ def test_plan_doc_rejects_garbage():
         loads_plan("{}")
     with pytest.raises(PlanFormatError):
         loads_plan(json.dumps({"version": 99}))
+    good = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
+    nan = {"dec": "nan"}
+    tile0 = dict(good["tiles"][0], points=[[nan, "0/1"]] + good["tiles"][0]["points"][1:])
+    for changes in (
+        {"tree": {"op": "dot"}},
+        {"tree": {"construction": "even_general", "params": {"nu": "1/0"}}},
+        {"root": [["1/0", "0/1"]] + good["root"][1:]},
+        {"root": [[nan, "0/1"]] + good["root"][1:]},
+        {"tiles": [tile0] + good["tiles"][1:]},
+        {"pinned": ["1/0"]},
+        {"pinned": 5},
+        {"cuts": None},
+        {"tol": "nan"},
+    ):
+        with pytest.raises(PlanFormatError):
+            plan_from_doc(dict(good, **changes))
 
 
 # -------------------------------------------------------- argument parsing
@@ -256,6 +273,18 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 2
+
+
+def test_cli_bad_numbers_exit_2_with_json(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--points", "0,0;1,0;1,nan;0,1"])
+    assert exc.value.code == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+    doc = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, pinned=["1/0"])))
+    code, out = _run(capsys, "verify", "--plan", str(bad))
+    assert code == 2 and "error" in out
 
 
 def test_svg_deterministic():

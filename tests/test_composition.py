@@ -23,12 +23,15 @@ from gcdissect import (
     QCurve,
     Trapezoid,
     affine_quotient,
+    canonicalize,
+    classify_quadrangle,
     combine,
     compose_sets,
     flip,
     member,
+    standard_placement,
 )
-from gcdissect.composition import singleton
+from gcdissect.composition import ROWS, cut_quad, decompose, singleton
 
 F = Fraction
 
@@ -255,3 +258,80 @@ def test_tt_flagged_interval_endpoints(t1, t2):
     assert iv.lo_closed == (t1.gamma == t2.gamma)
     assert iv.hi == 1 and not iv.hi_closed
     assert s.has_p
+
+
+# ---------------------------------------------------------------------------
+# each row's forward image, inverse and cut geometry agree
+
+
+@st.composite
+def unit_span(draw, top=0, max_den=24):
+    """(lo, lo_closed, hi, hi_closed) with 0 < lo < hi <= 1 - top/den, open
+    at 1."""
+    den = draw(st.integers(min_value=3, max_value=max_den))
+    ends = st.integers(1, den - top)
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    hi_closed = hi < den and draw(st.booleans())
+    return F(lo, den), draw(st.booleans()), F(hi, den), hi_closed
+
+
+@st.composite
+def one_piece_set(draw, kind):
+    """A ClassSet holding one piece of kind Q (point or curve), T (point or
+    interval) or P."""
+    single = draw(st.booleans())
+    if kind == "Q" and single:
+        return singleton(draw(rational_q(max_den=24)))
+    if kind == "Q":
+        # as the table makes them: betas stay below 1
+        quotient = F(draw(st.integers(1, 11)), 12)
+        return ClassSet(q_curves=(QCurve(quotient, Interval(*draw(unit_span(top=1)))),))
+    if kind == "T" and single:
+        return singleton(draw(rational_t(max_den=24)))
+    if kind == "T":
+        return ClassSet(t_intervals=(Interval(*draw(unit_span())),))
+    return ClassSet(has_p=True)
+
+
+@st.composite
+def row_operands(draw):
+    """(left, left_flip, right, right_flip, op) that a table row glues, the
+    operands in either order; flags on Q edges are drawn too."""
+    row = draw(st.sampled_from(ROWS))
+    sides = [
+        (draw(one_piece_set(kind)), draw(st.booleans()) if kind == "Q" else flag)
+        for kind, flag in (row.left, row.right)
+    ]
+    if draw(st.booleans()):
+        sides.reverse()
+    return (*sides[0], *sides[1], row.op)
+
+
+def _sample_members(s):
+    out = list(s.members())
+    for iv in s.t_intervals:
+        out.append(Trapezoid((iv.lo + iv.hi) / 2))
+        if iv.lo_closed:
+            out.append(Trapezoid(iv.lo))
+    for c in s.q_curves:
+        out.append(c.at((c.betas.lo + c.betas.hi) / 2))
+        if c.betas.lo_closed:
+            out.append(c.at(c.betas.lo))
+    return out
+
+
+@given(row_operands())
+def test_rows_round_trip(operands):
+    left, left_flip, right, right_flip, op = operands
+    image = compose_sets(left, left_flip, right, right_flip, op)
+    assert image
+    for target in _sample_members(image):
+        cls_l, cls_r = decompose(left, left_flip, right, right_flip, op, target)
+        assert member(left, cls_l) and member(right, cls_r)
+        glued = combine(term(cls_l, left_flip), term(cls_r, right_flip), op)
+        assert member(glued, target)
+        child_l, child_r, cut = cut_quad(
+            standard_placement(target), op, cls_l, left_flip, cls_r, right_flip
+        )
+        assert classify_quadrangle(child_l.points, 0).cls == canonicalize(cls_l)
+        assert classify_quadrangle(child_r.points, 0).cls == canonicalize(cls_r)

@@ -27,6 +27,9 @@ def test_parse_scalar_forms():
         parse_scalar("banana")
     with pytest.raises(ValueError):
         parse_scalar("1/0")
+    for text in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
 
 
 def test_is_exact():
@@ -63,5 +66,6 @@ def test_json_round_trip_float(x):
 
 
 def test_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        scalar_from_json([1, 2])
+    for bad in ([1, 2], "1/0", {"dec": "nan"}, {"dec": "inf"}, {"dec": [1]}):
+        with pytest.raises(ValueError):
+            scalar_from_json(bad)

@@ -17,6 +17,7 @@ from gcdissect import (
     convex_intersection_area,
     dissect_even_general,
     dissect_odd,
+    dissect_por5,
     dissect_trapezoid_selfaffine,
     polygon_area,
     standard_placement,
@@ -124,6 +125,26 @@ def test_verify_detects_wrong_tile_shape():
     assert not report.ok
     assert not report.tile_results[0].ok
     assert report.tile_results[1].ok
+
+
+def test_verify_detects_tile_outside_root():
+    # moved wholly outside: areas still sum up and no pair overlaps
+    plan = dissect_odd(GenericQuad(F(1, 5), F(1, 2)), 5)
+    tile = plan.tiles[0]
+    moved = dataclasses.replace(tile, **{k: (p[0] + 3, p[1]) for k, p in zip("abcd", tile.points)})
+    report = verify_plan(dataclasses.replace(plan, tiles=(moved,) + plan.tiles[1:]), 0)
+    assert report.area_deficit == 0 and report.max_overlap_area == 0
+    assert not report.ok
+    assert report.outside_vertices and report.outside_vertices[0].startswith("tile 0 ")
+
+
+def test_verify_rejects_gc_claim_without_cuts():
+    # five tiles, no recorded cuts: not a glass-cut plan whatever its flag says
+    plan = dissect_por5(GenericQuad(F(1, 5), F(1, 2)))
+    assert verify_plan(plan, 0).ok
+    report = verify_plan(dataclasses.replace(plan, gc=True), 0)
+    assert not report.ok
+    assert any("0 cuts for 5 tiles" in v for v in report.gc_cut_violations)
 
 
 def _with_cut(plan, cut):
