@@ -63,6 +63,11 @@ PLAN_VERSION = 1
 
 DEFAULT_FLOAT_TOL = 1e-9
 
+# Most tiles dissect and selfaffine make: plan trees are walked recursively
+# and a trapezoid fan nests one level per tile, so this keeps every walk
+# well inside Python's default recursion limit of 1000.
+MAX_TILES = 400
+
 
 # ---------------------------------------------------------------------------
 # class and scalar documents
@@ -291,10 +296,11 @@ def dumps_plan(plan: DissectionPlan, cls: AffineClass, tol: float = 0.0) -> str:
 
 def loads_plan(text: str) -> tuple[DissectionPlan, AffineClass, float]:
     try:
-        doc = json.loads(text)
+        return plan_from_doc(json.loads(text))
     except json.JSONDecodeError as exc:
         raise PlanFormatError(f"not JSON: {exc}") from exc
-    return plan_from_doc(doc)
+    except RecursionError as exc:
+        raise PlanFormatError("plan document nests too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +444,13 @@ def _parse_points(text: str) -> tuple[Point, Point, Point, Point]:
     return (a, b, c, d)
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        return _tol_from_doc(text)
+    except PlanFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors also print {"error": ...} on stdout before exit 2."""
 
@@ -457,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="affine class of four vertices")
     p.add_argument("--points", type=_parse_points, required=True)
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=_parse_tol, default=0.0)
 
     p = sub.add_parser("flip", help="the other parametrization of a Q class")
     p.add_argument("--class", dest="cls", type=_parse_class, required=True)
@@ -472,8 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="cut trees reproducing the class")
     p.add_argument("--class", dest="cls", type=_parse_class, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--no-prune", action="store_true")
+    p.add_argument("--tol", type=_parse_tol, default=0.0)
 
     p = sub.add_parser("parity", help="reachable quotient exponents at n leaves")
     p.add_argument("--n", type=int, required=True)
@@ -485,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dissect", help="glass-cut self-affine dissection")
     p.add_argument("--class", dest="cls", type=_parse_class, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("selfaffine", help="dissection allowing non-glass cuts")
@@ -495,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a plan document")
     p.add_argument("--plan", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=None)
 
     p = sub.add_parser("render", help="draw a plan document as SVG")
     p.add_argument("--plan", required=True)
@@ -555,9 +567,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    hits = search_self_affine(
-        args.cls, args.n, tol=args.tol, prune=not args.no_prune
-    )
+    hits = search_self_affine(args.cls, args.n, tol=args.tol)
     _emit(
         [
             {"tree": tree_to_doc(h.tree), "witness": class_to_doc(h.witness)}
@@ -587,11 +597,16 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _check_tile_count(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need at least two tiles, got {n}")
+    if n > MAX_TILES:
+        raise ValueError(f"at most MAX_TILES = {MAX_TILES} tiles, got {n}")
+
+
 def _cmd_dissect(args) -> int:
     cls, n = args.cls, args.n
-    if n < 2:
-        _emit({"error": f"need at least two tiles, got {n}"})
-        return 1
+    _check_tile_count(n)
     if isinstance(cls, (Trapezoid, Parallelogram)):
         plan = dissect_trapezoid_selfaffine(cls, n)
     elif n >= 5 and n % 2 == 1:
@@ -617,10 +632,8 @@ def _cmd_dissect(args) -> int:
 
 def _cmd_selfaffine(args) -> int:
     cls, n = args.cls, args.n
+    _check_tile_count(n)
     if isinstance(cls, (Trapezoid, Parallelogram)):
-        if n < 2:
-            _emit({"error": f"need at least two tiles, got {n}"})
-            return 1
         plan = dissect_trapezoid_selfaffine(cls, n)
     elif n == 5:
         plan = dissect_por5(cls)

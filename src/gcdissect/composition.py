@@ -164,6 +164,9 @@ class QCurve:
     def __post_init__(self) -> None:
         if not (0 < self.quotient < 1):
             raise ValueError(f"curve quotient {self.quotient} outside (0,1)")
+        # flip sends beta 1 to 0, so such a curve would have no flipped image
+        if self.betas.hi == 1:
+            raise ValueError("curve betas must stay below 1")
 
     def at(self, beta: Scalar) -> GenericQuad:
         return GenericQuad(self.quotient * beta, beta)
@@ -222,25 +225,12 @@ class ClassSet:
         return _pieces_of(self, True)
 
 
-# The set singleton made last, with the class object it was made for:
-# evaluate asks for the same leaf class at every leaf, and a shared set
-# builds its pieces once.  Keyed by identity because equal classes can
-# differ in exactness (Trapezoid(0.5) == Trapezoid(Fraction(1, 2))).
-_last_singleton: tuple = (None, None)
-
-
 def singleton(cls: AffineClass) -> ClassSet:
-    global _last_singleton
-    held, s = _last_singleton
-    if held is not cls:
-        if isinstance(cls, GenericQuad):
-            s = ClassSet(q_points=(cls,))
-        elif isinstance(cls, Trapezoid):
-            s = ClassSet(t_points=(cls,))
-        else:
-            s = ClassSet(has_p=True)
-        _last_singleton = (cls, s)
-    return s
+    if isinstance(cls, GenericQuad):
+        return ClassSet(q_points=(cls,))
+    if isinstance(cls, Trapezoid):
+        return ClassSet(t_points=(cls,))
+    return ClassSet(has_p=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ the set of classes the root can have when every leaf tile belongs to a given
 class; the tree witnesses n-gc-self-affinity of that class exactly when the
 class (or its flip) lies in the root set.
 
+The search does not evaluate trees one by one.  A root set depends only on
+the subtrees' sets, and few are distinct, so it runs level by level over
+leaf counts k = 2..n: level k maps each non-empty root set of k-leaf trees
+to back-pointers, made by glueing every unordered pair of flagged
+lower-level sets once.  Only level-n sets that contain the class are
+expanded back into trees.
+
 Canonical form quotients only by commutativity of the glueing operations:
 children of a node are ordered by (leaf count, serialized key, flag).  Flags
 are enumerated on every edge, including edges to leaves; a flag on a leaf
@@ -21,17 +28,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
-from .affine_types import AffineClass, GenericQuad, flip, is_affine_kite
+from .affine_types import AffineClass, GenericQuad, flip
 from .composition import ClassSet, Op, compose_sets, member, singleton
 from .errors import SearchCapError
 
 DEFAULT_SEARCH_CAP = 8
 CAP_ENV_VAR = "GCDISSECT_SEARCH_CAP"
-
-# Levels up to this size are materialized and cached; larger levels stream.
-_MATERIALIZE_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -77,15 +81,18 @@ def _edge_order(t: ExtTree, flag: bool) -> tuple[int, str, bool]:
     return (t.n_leaves, t.key, flag)
 
 
+def _ordered(op: Op, t1: ExtTree, f1: bool, t2: ExtTree, f2: bool) -> Node:
+    """Node with its two children in canonical order."""
+    if _edge_order(t1, f1) <= _edge_order(t2, f2):
+        return Node(op, t1, f1, t2, f2)
+    return Node(op, t2, f2, t1, f1)
+
+
 def canonical(t: ExtTree) -> ExtTree:
     """Equivalent tree with children sorted at every node."""
     if isinstance(t, Leaf):
         return t
-    left = canonical(t.left)
-    right = canonical(t.right)
-    if _edge_order(left, t.left_flip) <= _edge_order(right, t.right_flip):
-        return Node(t.op, left, t.left_flip, right, t.right_flip)
-    return Node(t.op, right, t.right_flip, left, t.left_flip)
+    return _ordered(t.op, canonical(t.left), t.left_flip, canonical(t.right), t.right_flip)
 
 
 def search_cap() -> int:
@@ -96,6 +103,18 @@ def search_cap() -> int:
         return int(raw)
     except ValueError:
         raise SearchCapError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    cap = search_cap()
+    if n > cap:
+        raise SearchCapError(
+            f"enumeration of {n}-leaf trees exceeds the cap of {cap} "
+            f"(would visit {count_trees(n)} trees; "
+            f"set {CAP_ENV_VAR} higher to allow)"
+        )
 
 
 def count_trees(n: int) -> int:
@@ -128,48 +147,35 @@ def enumerate_trees(n: int) -> Iterator[ExtTree]:
     Refuses n above the enumeration cap (GCDISSECT_SEARCH_CAP, default 8)
     with the would-be tree count in the message.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    cap = search_cap()
-    if n > cap:
-        raise SearchCapError(
-            f"enumeration of {n}-leaf trees exceeds the cap of {cap} "
-            f"(would visit {count_trees(n)} trees; "
-            f"set {CAP_ENV_VAR} higher to allow)"
-        )
-    if n <= _MATERIALIZE_LIMIT:
-        yield from _level(n)
-    else:
-        yield from _compose_level(n)
+    _check_size(n)
+    levels: list[tuple[ExtTree, ...]] = [(), (LEAF,)]
+    for k in range(2, n):
+        levels.append(tuple(_compose_level(k, levels)))
+    yield from _compose_level(n, levels) if n > 1 else levels[1]
 
 
-@lru_cache(maxsize=None)
-def _level(n: int) -> tuple[ExtTree, ...]:
-    return tuple(_compose_level(n))
-
-
-def _compose_level(n: int) -> Iterator[ExtTree]:
-    if n == 1:
-        yield LEAF
-        return
+def _compose_level(n: int, levels: list[tuple[ExtTree, ...]]) -> Iterator[ExtTree]:
     for op in (Op.DOT, Op.COLON):
         for n1 in range(1, n // 2 + 1):
-            n2 = n - n1
-            if n1 < n2:
-                for t1 in _level(n1):
-                    for f1 in (False, True):
-                        for t2 in _level(n2):
-                            for f2 in (False, True):
-                                yield Node(op, t1, f1, t2, f2)
-            else:
+            lower, upper = _with_flags(levels[n1]), _with_flags(levels[n - n1])
+            same = 2 * n1 == n
+            if same:
                 # pair order must match canonical()'s comparator
-                flagged = sorted(
-                    ((t, f) for t in _level(n1) for f in (False, True)),
-                    key=lambda tf: _edge_order(tf[0], tf[1]),
-                )
-                for i, (t1, f1) in enumerate(flagged):
-                    for t2, f2 in flagged[i:]:
-                        yield Node(op, t1, f1, t2, f2)
+                lower = upper = sorted(lower, key=lambda tf: _edge_order(*tf))
+            for (t1, f1), (t2, f2) in _pairs(lower, upper, same):
+                yield Node(op, t1, f1, t2, f2)
+
+
+def _with_flags(items: Iterable) -> list[tuple]:
+    return [(x, f) for x in items for f in (False, True)]
+
+
+def _pairs(lefts: list, rights: list, same: bool) -> Iterator[tuple]:
+    """Each (left, right) pair; when the two lists are the same one, each
+    unordered pair once."""
+    for i, a in enumerate(lefts):
+        for b in rights[i:] if same else rights:
+            yield a, b
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +189,19 @@ def evaluate(
 
     Empty result means no dissection with this tree exists for the class.
     A cache dict (keyed by subtree key) may be shared across calls with the
-    same leaf_class; enumerated trees share subtree structure heavily.
+    same leaf_class; enumerated trees share subtree structure heavily, and
+    the leaf's own set is kept there too, so its pieces are built once.
     """
-    if isinstance(t, Leaf):
-        return singleton(leaf_class)
     if cache is None:
         cache = {}
     got = cache.get(t.key)
     if got is None:
-        left = evaluate(t.left, leaf_class, cache)
-        right = evaluate(t.right, leaf_class, cache)
-        got = compose_sets(left, t.left_flip, right, t.right_flip, t.op)
+        if isinstance(t, Leaf):
+            got = singleton(leaf_class)
+        else:
+            left = evaluate(t.left, leaf_class, cache)
+            right = evaluate(t.right, leaf_class, cache)
+            got = compose_sets(left, t.left_flip, right, t.right_flip, t.op)
         cache[t.key] = got
     return got
 
@@ -281,59 +289,6 @@ def _sym_glue(
 
 
 # ---------------------------------------------------------------------------
-# target-aware pruning (sound reductions from the three-tile and kite proofs)
-
-
-def _no_leaf_edge_flips(t: ExtTree) -> bool:
-    if isinstance(t, Leaf):
-        return True
-    ok_left = not (isinstance(t.left, Leaf) and t.left_flip)
-    ok_right = not (isinstance(t.right, Leaf) and t.right_flip)
-    return (
-        ok_left
-        and ok_right
-        and _no_leaf_edge_flips(t.left)
-        and _no_leaf_edge_flips(t.right)
-    )
-
-
-def _three_leaf_keep(t: Node) -> bool:
-    # Canonical order puts the single leaf on the left of the root.
-    leaf_flip = t.left_flip
-    inner = t.right
-    assert isinstance(inner, Node)
-    if leaf_flip:
-        return False
-    if inner.op is Op.COLON and t.right_flip:
-        return False
-    return (t.op is Op.DOT) == (inner.op is Op.COLON)
-
-
-def _kite_five_keep(t: Node) -> bool:
-    if t.op is not Op.COLON or not (t.left_flip and t.right_flip):
-        return False
-    if not _no_leaf_edge_flips(t):
-        return False
-    two = t.left if t.left.n_leaves == 2 else t.right
-    return isinstance(two, Node) and two.op is Op.DOT
-
-
-def pruned_trees(n: int, leaf: AffineClass) -> Iterator[ExtTree]:
-    """Candidate trees after the target-aware reductions, where sound.
-
-    Reductions exist for two configurations: three leaves with a generic
-    quadrangle target (nine candidate trees survive) and five leaves with an
-    affine-kite target (eight survive).  Elsewhere this is full enumeration.
-    """
-    trees = enumerate_trees(n)
-    if n == 3 and isinstance(leaf, GenericQuad):
-        return (t for t in trees if _three_leaf_keep(t))
-    if n == 5 and isinstance(leaf, GenericQuad) and is_affine_kite(leaf):
-        return (t for t in trees if _kite_five_keep(t))
-    return trees
-
-
-# ---------------------------------------------------------------------------
 # search
 
 
@@ -347,33 +302,54 @@ class SearchHit:
     witness: AffineClass
 
 
-def search_self_affine(
-    leaf: AffineClass, n: int, tol=0, prune: bool = False
-) -> list[SearchHit]:
+def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     """All canonical n-leaf trees whose root set contains the class.
 
     For generic quadrangle targets the flip is also accepted, since the two
     parametrizations name the same shape.  An empty list at tol 0 with exact
     parameters certifies the class is not n-gc-self-affine (within the
-    enumeration cap).  prune=True applies the sound target-aware reductions
-    where available; hits are identical either way.
+    enumeration cap).  Hits come in a fixed order: root sets in the order
+    the level-wise pass first meets them, then each set's trees in
+    back-pointer order.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_size(n)
     targets: list[AffineClass] = [leaf]
     if isinstance(leaf, GenericQuad):
         flipped = flip(leaf)
         if flipped != leaf:
             targets.append(flipped)
-    trees = pruned_trees(n, leaf) if prune else enumerate_trees(n)
-    cache: dict[str, ClassSet] = {}
+    # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
+    # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left
+    levels: list[dict[ClassSet, list[tuple]]] = [{}, {singleton(leaf): []}]
+    for k in range(2, n + 1):
+        level: dict[ClassSet, list[tuple]] = {}
+        for op in (Op.DOT, Op.COLON):
+            for k1 in range(1, k // 2 + 1):
+                lower, upper = _with_flags(levels[k1]), _with_flags(levels[k - k1])
+                for (s1, f1), (s2, f2) in _pairs(lower, upper, 2 * k1 == k):
+                    root = compose_sets(s1, f1, s2, f2, op)
+                    if root:
+                        level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+        levels.append(level)
+
     hits = []
-    for t in trees:
-        root = evaluate(t, leaf, cache)
-        if not root:
-            continue
+    for root in levels[n]:
         for target in targets:
             if member(root, target, tol):
-                hits.append(SearchHit(t, root, target))
+                hits.extend(SearchHit(t, root, target) for t in _expand(levels, n, root))
                 break
     return hits
+
+
+# Module-level, not a closure over the levels: a recursive closure is a
+# reference cycle and would keep the levels alive until a cyclic collection.
+def _expand(levels: list[dict], k: int, s: ClassSet) -> list[ExtTree]:
+    """The canonical k-leaf trees with root set s, from the back-pointers."""
+    if k == 1:
+        return [LEAF]
+    out = []
+    for op, k1, s1, f1, s2, f2 in levels[k][s]:
+        lefts, rights = _expand(levels, k1, s1), _expand(levels, k - k1, s2)
+        for t1, t2 in _pairs(lefts, rights, (k1, s1, f1) == (k - k1, s2, f2)):
+            out.append(_ordered(op, t1, f1, t2, f2))
+    return out

@@ -170,7 +170,7 @@ def test_kite_five_impossible(criterion):
     for k in range(1, 32):
         a = F(k, 32)
         kite = GenericQuad(a, 1 / (2 - a))
-        assert search_self_affine(kite, 5, tol=0, prune=False) == []
+        assert search_self_affine(kite, 5, tol=0) == []
 
     trees = _named_five_leaf_trees()
     for j in range(1, 11):

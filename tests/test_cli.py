@@ -18,6 +18,7 @@ from gcdissect import (
     dissect_trapezoid_selfaffine,
 )
 from gcdissect.cli import (
+    MAX_TILES,
     _parse_class,
     _parse_points,
     class_from_doc,
@@ -285,6 +286,43 @@ def test_cli_bad_numbers_exit_2_with_json(capsys, tmp_path):
     bad.write_text(json.dumps(dict(doc, pinned=["1/0"])))
     code, out = _run(capsys, "verify", "--plan", str(bad))
     assert code == 2 and "error" in out
+    good = tmp_path / "good.json"
+    good.write_text(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
+    for tol in ("nan", "inf", "-1"):
+        for argv in (
+            ["classify", "--points", "0,0;1,0;1,1;0,1"],
+            ["search", "--class", "Q:0.5,0.8284271247461903", "--n", "3"],
+            ["dissect", "--class", "Q:1/5,1/2", "--n", "5"],
+            ["verify", "--plan", str(good)],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol", tol])
+            assert exc.value.code == 2
+            assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_cli_refuses_tile_counts_above_the_limit(capsys):
+    for cls, n in (("Q:1/5,1/2", 1001), ("T:1/2", 1200)):
+        code, doc = _run(capsys, "dissect", "--class", cls, "--n", str(n))
+        assert code == 1 and "MAX_TILES" in doc["error"]
+    code, doc = _run(capsys, "selfaffine", "--class", "T:1/2", "--n", str(MAX_TILES + 1))
+    assert code == 1 and "MAX_TILES" in doc["error"]
+    # the deepest plan allowed still round-trips
+    assert main(["dissect", "--class", "T:1/2", "--n", str(MAX_TILES)]) == 0
+    text = capsys.readouterr().out
+    assert len(loads_plan(text)[0].tiles) == MAX_TILES
+
+
+def test_cli_verify_deep_documents_exit_2(capsys, tmp_path):
+    doc = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
+    tree = '{"op": "dot", "left": ' * 3000 + '{"leaf": true}' + ', "right": {"leaf": true}}' * 3000
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(dict(doc, tree="TREE")).replace('"TREE"', tree))
+    brackets = tmp_path / "brackets.json"
+    brackets.write_text("[" * 100_000)
+    for path in (deep, brackets):
+        code, out = _run(capsys, "verify", "--plan", str(path))
+        assert code == 2 and "error" in out
 
 
 def test_svg_deterministic():

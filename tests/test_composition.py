@@ -171,6 +171,12 @@ def test_member_curve():
     assert not member(s, GenericQuad(F(1, 8), F(1, 4)), 0)
 
 
+def test_curve_betas_stay_below_one():
+    # flip sends beta 1 to 0, so such a curve has no flipped image
+    with pytest.raises(ValueError):
+        QCurve(F(1, 12), Interval(F(1, 3), False, F(1), False))
+
+
 def test_member_points():
     s = singleton(GenericQuad(F(1, 20), F(5, 16)))
     assert member(s, GenericQuad(F(1, 20), F(5, 16)), 0)

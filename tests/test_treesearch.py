@@ -25,7 +25,7 @@ from gcdissect import (
     quotient_exponents,
     search_self_affine,
 )
-from gcdissect.treesearch import canonical, pruned_trees
+from gcdissect.treesearch import canonical
 
 F = Fraction
 
@@ -179,29 +179,40 @@ def test_search_accepts_flip_witness():
             assert canonicalize(h.witness) == canonicalize(q)
 
 
-def test_pruned_subset_and_same_decision():
-    q_family = GenericQuad(0.5, 2 * (2**0.5 - 1))
-    q_plain = GenericQuad(F(1, 5), F(1, 2))
-    kite = GenericQuad(F(1, 2), F(2, 3))
-    for leaf, n, tol in [
-        (q_family, 3, 1e-9),
-        (q_plain, 3, 0),
-        (kite, 5, 0),
-        (q_plain, 5, 0),
-    ]:
-        pruned = {t.key for t in pruned_trees(n, leaf)}
-        full = {t.key for t in enumerate_trees(n)}
-        assert pruned <= full
-        got_pruned = {h.tree.key for h in search_self_affine(leaf, n, tol=tol, prune=True)}
-        got_full = {h.tree.key for h in search_self_affine(leaf, n, tol=tol)}
-        assert got_pruned <= got_full
-        assert bool(got_pruned) == bool(got_full)
+def _reference_hits(leaf, n, tol):
+    """The per-tree search: evaluate every canonical tree, test its root."""
+    targets = [leaf]
+    if isinstance(leaf, GenericQuad) and flip(leaf) != leaf:
+        targets.append(flip(leaf))
+    cache = {}
+    pairs = []
+    for t in enumerate_trees(n):
+        root = evaluate(t, leaf, cache)
+        target = next((c for c in targets if member(root, c, tol)), None)
+        if target is not None:
+            pairs.append((t.key, repr(target)))
+    return sorted(pairs)
 
 
-def test_pruned_counts_at_stated_sizes():
-    # nine candidates survive for a generic 3-leaf target, eight for a
-    # kite 5-leaf target; elsewhere pruning is a no-op
-    assert len(list(pruned_trees(3, GenericQuad(F(1, 5), F(1, 2))))) == 9
-    assert len(list(pruned_trees(5, GenericQuad(F(1, 2), F(2, 3))))) == 8
-    assert len(list(pruned_trees(4, GenericQuad(F(1, 5), F(1, 2))))) == count_trees(4)
-    assert len(list(pruned_trees(3, Trapezoid(F(1, 2))))) == count_trees(3)
+# At tol 1 every root set with a generic member matches the kite, so most
+# trees are hits, among them those whose subtrees pair a set holding several
+# trees with itself (no hit at tol 0 with five leaves or fewer does that).
+@pytest.mark.parametrize(
+    "leaf, tol",
+    [
+        (GenericQuad(F(1, 5), F(1, 2)), 0),
+        (GenericQuad(F(1, 2), F(2, 3)), 0),
+        (Trapezoid(F(1, 3)), 0),
+        (Parallelogram(), 0),
+        (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9),
+        (GenericQuad(F(1, 2), F(2, 3)), 1),
+    ],
+    ids=["generic", "kite", "trapezoid", "parallelogram", "family-II", "kite-tol-1"],
+)
+def test_search_matches_per_tree_reference(leaf, tol):
+    for n in range(1, 6):
+        hits = search_self_affine(leaf, n, tol=tol)
+        for h in hits:
+            assert canonical(h.tree).key == h.tree.key
+        got = sorted((h.tree.key, repr(h.witness)) for h in hits)
+        assert got == _reference_hits(leaf, n, tol), n
