@@ -264,16 +264,18 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
         if not isinstance(cdoc, dict):
             raise PlanFormatError(f"bad cut {i}: {cdoc!r}")
         try:
+            sides = int(cdoc["start_side"]), int(cdoc["end_side"])
+            if not all(0 <= side < 4 for side in sides):
+                raise ValueError(f"side indices {sides} not in 0..3")
             cuts.append(
                 CutRecord(
                     _points_from_doc(cdoc["parent"], f"cut {i} parent"),
                     _point_from_doc(cdoc["start"]),
                     _point_from_doc(cdoc["end"]),
-                    int(cdoc["start_side"]),
-                    int(cdoc["end_side"]),
+                    *sides,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PlanFormatError(f"bad cut {i}: {cdoc!r}") from exc
     try:
         pinned = tuple(scalar_from_json(x) for x in _list_from_doc(doc, "pinned"))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, flip
@@ -110,10 +110,13 @@ def _check_size(n: int) -> None:
         raise ValueError("need n >= 1")
     cap = search_cap()
     if n > cap:
+        # count_trees takes O(n^2) big-integer products (11 s at 2,000 leaves).
+        # Past 200, give a lower bound: a leaf beside any (k-1)-leaf tree, two
+        # ops and a flag per child make each level at least 8 times the last.
+        trees = count_trees(n) if n <= 200 else f"more than 6 * 8^{n - 2}"
         raise SearchCapError(
-            f"enumeration of {n}-leaf trees exceeds the cap of {cap} "
-            f"(would visit {count_trees(n)} trees; "
-            f"set {CAP_ENV_VAR} higher to allow)"
+            f"a search over {n}-leaf trees exceeds the cap of {cap} "
+            f"({trees} canonical trees; set {CAP_ENV_VAR} higher to allow)"
         )
 
 
@@ -125,20 +128,14 @@ def count_trees(n: int) -> int:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _count(n)
-
-
-@lru_cache(maxsize=None)
-def _count(n: int) -> int:
-    if n == 1:
-        return 1
-    pairs = 0
-    for n1 in range(1, (n + 1) // 2):
-        pairs += 2 * _count(n1) * 2 * _count(n - n1)
-    if n % 2 == 0:
-        f = 2 * _count(n // 2)
-        pairs += f * (f + 1) // 2
-    return 2 * pairs
+    counts = [0, 1]
+    for k in range(2, n + 1):
+        pairs = sum(4 * counts[k1] * counts[k - k1] for k1 in range(1, (k + 1) // 2))
+        if k % 2 == 0:
+            f = 2 * counts[k // 2]
+            pairs += f * (f + 1) // 2
+        counts.append(2 * pairs)
+    return counts[n]
 
 
 def enumerate_trees(n: int) -> Iterator[ExtTree]:

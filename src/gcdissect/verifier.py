@@ -1,16 +1,22 @@
 """Independent checks that a dissection plan is what it claims to be.
 
 The verifier reads only coordinates.  It re-classifies every tile, sums
-areas, checks every tile vertex lies in the root, clips every pair of tiles
-against each other for overlap, and for glass-cut plans checks that there
-is one recorded cut per tile after the first and that each runs between
-relative interior points of opposite sides of its quad.  Exact inputs are
-checked exactly; a positive tolerance scales with the root's area for the
-area and containment checks and is passed through to classification.
+areas, checks every tile vertex lies in the root, tests the tiles pairwise
+for overlap, and for glass-cut plans checks that there is one recorded cut
+per tile after the first and that each runs between relative interior
+points of opposite sides of its quad.  Exact inputs are checked exactly; a
+positive tolerance scales with the root's area for the area and containment
+checks and is passed through to classification.
 
-Clipping is done with the Sutherland-Hodgman algorithm over the input
-scalars, so rational plans produce rational intersection areas and a
-tolerance of zero is meaningful.
+Overlap is tested in three stages: a sweep over the tiles' bounding boxes,
+sorted by min-x, keeps the pairs whose boxes overlap with positive width and
+height; a separating-axis test (Ericson, Real-Time Collision Detection, 5)
+drops every pair that an edge line of either tile separates, by signs of
+cross products and without division, counting tiles that only touch as
+separated (their overlap area is exactly 0); the rest are clipped with the
+Sutherland-Hodgman algorithm over the input scalars, so rational plans give
+rational intersection areas and a tolerance of zero is meaningful.  A tile
+that is not a strictly convex quad is clipped against every other tile.
 """
 
 from __future__ import annotations
@@ -103,6 +109,59 @@ def convex_intersection_area(p: Polygon, q: Polygon) -> Scalar:
     return polygon_area(subject)
 
 
+def _inner_lines(pts: Polygon, sign: int) -> list[tuple[Scalar, Scalar, Scalar]]:
+    """Per edge pq, nx*x + ny*y + c = twice the signed area of (p, q, v)
+    times sign; with sign the polygon's orientation, positive inside."""
+    lines = []
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        ex, ey = sign * (q[0] - p[0]), sign * (q[1] - p[1])
+        lines.append((-ey, ex, ey * p[0] - ex * p[1]))
+    return lines
+
+
+def _convex_lines(pts: Polygon, area: Scalar) -> list | None:
+    """Inner edge forms of a strictly convex, non-degenerate quad with the
+    given signed area; None for any other tile."""
+    if len(pts) != 4 or area == 0:
+        return None
+    lines = _inner_lines(pts, 1 if area > 0 else -1)
+    # Strictly convex: the vertex after each edge is strictly on its inner side.
+    after = zip(lines, pts[2:] + pts[:2])
+    return None if any(nx * x + ny * y + c <= 0 for (nx, ny, c), (x, y) in after) else lines
+
+
+def _overlap_candidates(tiles: Sequence[Polygon], lines: list) -> list[tuple[int, int]]:
+    """Sorted pairs i < j that may overlap in positive area: tiles with edge
+    forms whose bounding boxes overlap with positive width and height (by a
+    sweep over min-x), and every pair with a tile that has none."""
+    pairs = set()
+    boxes = {}
+    for i, pts in enumerate(tiles):
+        if lines[i] is None:
+            pairs.update((min(i, j), max(i, j)) for j in range(len(tiles)) if j != i)
+        else:
+            xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+            boxes[i] = (min(xs), max(xs), min(ys), max(ys))
+    active: list[int] = []
+    for i in sorted(boxes, key=lambda k: boxes[k][0]):
+        x0, _, y0, y1 = boxes[i]
+        active = [j for j in active if boxes[j][1] > x0]
+        overlapping = (j for j in active if boxes[j][2] < y1 and y0 < boxes[j][3])
+        pairs.update((min(i, j), max(i, j)) for j in overlapping)
+        active.append(i)
+    return sorted(pairs)
+
+
+def _separated(p: Polygon, p_lines: list, q: Polygon, q_lines: list) -> bool:
+    """Some edge line of p or of q has the other polygon wholly on or
+    outside it, so their interiors are disjoint."""
+    for lines, pts in ((p_lines, q), (q_lines, p)):
+        for nx, ny, c in lines:
+            if all(nx * x + ny * y + c <= 0 for x, y in pts):
+                return True
+    return False
+
+
 @dataclass(frozen=True)
 class TileCheck:
     """Re-classification outcome for one tile."""
@@ -171,7 +230,10 @@ def verify_plan(
     glass-cut plans, the plan records exactly one cut fewer than it has
     tiles, and every recorded cut joins relative interior points of
     opposite sides.  Tiles inside the root whose areas sum to the root's
-    and that do not overlap cover it.  tol = 0 demands exact agreement; a
+    and that do not overlap cover it.  Tile pairs go through a bounding-box
+    sweep, then the separating-axis test, which counts touching tiles as
+    separated; only pairs it cannot separate are clipped.  tol = 0 demands
+    exact agreement; a
     positive tol bounds the class parameters directly and the area and
     containment checks relative to the root's area.
 
@@ -200,7 +262,8 @@ def verify_plan(
         tile_results.append(TileCheck(i, expected, got.cls, ok, note))
 
     root_area = polygon_area(plan.root.points)
-    tile_area = sum(polygon_area(t.points) for t in plan.tiles)
+    tile_areas = [signed_area(t.points) for t in plan.tiles]
+    tile_area = sum(abs(a) for a in tile_areas)
     area_deficit = abs(root_area - tile_area)
     area_ok = area_deficit <= tol * root_area
 
@@ -209,11 +272,7 @@ def verify_plan(
     # least -tol * root_area.  Compared doubled, as the linear form
     # nx*x + ny*y + c, so without division; shared vertices are tested once.
     root = plan.root.points
-    sign = 1 if signed_area(root) > 0 else -1
-    lines = []
-    for p, q in zip(root, root[1:] + root[:1]):
-        ex, ey = sign * (q[0] - p[0]), sign * (q[1] - p[1])
-        lines.append((-ey, ex, ey * p[0] - ex * p[1]))
+    lines = _inner_lines(root, 1 if signed_area(root) > 0 else -1)
     slack = -2 * tol * root_area
     first_seen: dict[Point, tuple[int, int]] = {}
     for i, tile in enumerate(plan.tiles):
@@ -227,12 +286,14 @@ def verify_plan(
     ]
 
     max_overlap: Scalar = 0
-    tiles = plan.tiles
-    for i in range(len(tiles)):
-        for j in range(i + 1, len(tiles)):
-            overlap = convex_intersection_area(tiles[i].points, tiles[j].points)
-            if overlap > max_overlap:
-                max_overlap = overlap
+    tiles = [t.points for t in plan.tiles]
+    edges = [_convex_lines(t, a) for t, a in zip(tiles, tile_areas)]
+    for i, j in _overlap_candidates(tiles, edges):
+        if edges[i] and edges[j] and _separated(tiles[i], edges[i], tiles[j], edges[j]):
+            continue
+        overlap = convex_intersection_area(tiles[i], tiles[j])
+        if overlap > max_overlap:
+            max_overlap = overlap
     overlap_ok = max_overlap <= tol * root_area
 
     violations: list[str] = []

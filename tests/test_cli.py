@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcdissect import (
     GenericQuad,
@@ -105,6 +109,7 @@ def test_plan_doc_rejects_garbage():
     good = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
     nan = {"dec": "nan"}
     tile0 = dict(good["tiles"][0], points=[[nan, "0/1"]] + good["tiles"][0]["points"][1:])
+    cut0 = good["cuts"][0]
     for changes in (
         {"tree": {"op": "dot"}},
         {"tree": {"construction": "even_general", "params": {"nu": "1/0"}}},
@@ -114,6 +119,9 @@ def test_plan_doc_rejects_garbage():
         {"pinned": ["1/0"]},
         {"pinned": 5},
         {"cuts": None},
+        {"cuts": [dict(cut0, start_side=5, end_side=3)]},
+        {"cuts": [dict(cut0, start_side=-1, end_side=1)]},
+        {"cuts": [dict(cut0, start_side=float("inf"))]},
         {"tol": "nan"},
     ):
         with pytest.raises(PlanFormatError):
@@ -313,6 +321,13 @@ def test_cli_refuses_tile_counts_above_the_limit(capsys):
     assert len(loads_plan(text)[0].tiles) == MAX_TILES
 
 
+def test_cli_cap_refusal_for_huge_leaf_counts(capsys):
+    for argv in (("search", "--class", "P", "--n", "2000"), ("parity", "--n", "2000")):
+        code, doc = _run(capsys, *argv)
+        assert code == 1
+        assert "a search over 2000-leaf trees exceeds the cap" in doc["error"]
+
+
 def test_cli_verify_deep_documents_exit_2(capsys, tmp_path):
     doc = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
     tree = '{"op": "dot", "left": ' * 3000 + '{"leaf": true}' + ', "right": {"leaf": true}}' * 3000
@@ -330,3 +345,99 @@ def test_svg_deterministic():
     text = dumps_plan(plan, Q_GENERIC)
     loaded, _, _ = loads_plan(text)
     assert render_svg(plan) == render_svg(loaded)
+
+
+# ------------------------------------------------------------ fuzzing
+
+
+def _exit_code(argv):
+    """Run the CLI as its console script would (a usage error is SystemExit)
+    and check that it printed JSON."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    json.loads(out.getvalue())
+    return code
+
+
+FUZZ_PLANS = tuple(
+    json.loads(dumps_plan(plan, cls, tol))
+    for plan, cls, tol in (
+        (dissect_odd(Q_GENERIC, 5), Q_GENERIC, 0.0),
+        (dissect_trapezoid_selfaffine(Trapezoid(F(1, 3)), 3), Trapezoid(F(1, 3)), 0.0),
+        (dissect_even_general(Q_GENERIC, 6), Q_GENERIC, 1e-9),
+    )
+)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["1/0", "1/2", "-7/3", "0.5", {"dec": "nan"}, {"dec": "1e400"}]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def plan_documents(draw):
+    """A valid plan with a few values replaced or removed, or any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(json_values)
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_PLANS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan_documents(), st.sampled_from([[], ["--tol", "0"], ["--tol", "1e-9"]]))
+def test_fuzz_verify_documents(tmp_path_factory, doc, tol):
+    path = tmp_path_factory.mktemp("fuzz") / "plan.json"
+    path.write_text(json.dumps(doc))
+    assert _exit_code(["verify", "--plan", str(path), *tol]) in (0, 1, 2)
+
+
+FUZZ_TOKENS = {
+    "classify": (
+        "--points", "--tol", "0,0;1,0;1,1;0,1", "0,0;2,0;1,1;0,1", "0,0;1,1;1,0;0,1",
+        "0,0;1,0;2,0;0,1", "0,0;1,0;1,1", "0,0;1,0;1,x;0,1", "1e308,0;0,0;0,1;1,1",
+    ),
+    "search": ("--class", "--n", "--tol"),
+    "dissect": ("--class", "--n", "--tol"),
+}
+FUZZ_VALUES = (
+    "Q:1/5,1/2", "Q:1/2,2/3", "Q:0.5,0.8284271247461903", "Q:1,2", "Q:1/2", "T:1/3",
+    "T:2", "P", "X", "", "-1", "0", "1", "2", "3", "4", "5", "9", "2000", "1e-9",
+    "nan", "inf", "abc", "--",
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fuzz_cli_argv(data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_TOKENS)))
+    tokens = st.sampled_from(FUZZ_TOKENS[command] + FUZZ_VALUES)
+    argv = [command, *data.draw(st.lists(tokens, max_size=6))]
+    assert _exit_code(argv) in (0, 1, 2)
