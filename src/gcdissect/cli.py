@@ -454,7 +454,10 @@ def _parse_tol(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors also print {"error": ...} on stdout before exit 2."""
+    """On stdout, usage errors print {"error": ...} (exit 2) and --help {"help": ...}."""
+
+    def print_help(self, file=None):
+        _emit({"help": self.format_help()})
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -51,7 +51,7 @@ from .affine_types import (
     lerp,
 )
 from .errors import GlueingError, UnrealizableError
-from .scalars import Scalar, quotients_equal, scalar_close
+from .scalars import QUOTIENT_TIE_REL, Scalar, is_exact, quotients_equal, scalar_close
 
 
 class Op(Enum):
@@ -224,6 +224,16 @@ class ClassSet:
     def _flagged(self) -> tuple[Piece, ...]:
         return _pieces_of(self, True)
 
+    @cached_property
+    def signature(self) -> tuple[tuple[str, Scalar], ...]:
+        """Sorted, duplicate-free (kind, quotient) of the unflagged pieces.
+
+        The rows fix a glued set's kinds and quotients from the operands'
+        kinds, quotients and edge flags, not their spans, so equal signatures
+        glue to equal signatures (float quotients up to roundoff).
+        """
+        return tuple(sorted({(p.kind, p.quotient) for p in self._unflagged}))
+
 
 def singleton(cls: AffineClass) -> ClassSet:
     if isinstance(cls, GenericQuad):
@@ -260,6 +270,25 @@ def member(s: ClassSet, c: AffineClass, tol: Scalar = 0) -> bool:
         scalar_close(curve.quotient, cq, tol) and curve.betas.contains(c.beta, tol)
         for curve in s.q_curves
     )
+
+
+def may_hold(signature: tuple, c: AffineClass, tol: Scalar = 0) -> bool:
+    """Necessary condition of member: can a set with this signature hold c?
+
+    Kinds must match; a generic c also needs a quotient Q with |Q - alpha/beta|
+    <= 2*tol/(beta - tol), from member's tests |d alpha|, |d beta| <= tol and
+    |d Q| <= tol (no bound at tol >= beta).  Exact values compare exactly (==
+    at tol 0), floats in float, widened by the roundoff band QUOTIENT_TIE_REL.
+    """
+    kind = "P" if isinstance(c, Parallelogram) else "T" if isinstance(c, Trapezoid) else "Q"
+    quotients = [q for k, q in signature if k == kind]
+    if kind != "Q" or tol >= c.beta:
+        return bool(quotients)
+    cq = affine_quotient(c)
+    bound = 2 * tol / (c.beta - tol) if tol else 0
+    if not all(map(is_exact, (cq, bound, *quotients))):
+        bound = float(bound) * (1 + QUOTIENT_TIE_REL) + QUOTIENT_TIE_REL * float(cq)
+    return any(abs(q - cq) <= bound for q in quotients)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ to back-pointers, made by glueing every unordered pair of flagged
 lower-level sets once.  Only level-n sets that contain the class are
 expanded back into trees.
 
+At level n a pair is glued only when its root can hold the class: a glued
+set's kinds and quotients (its signature) follow from its operands', their
+flags and the op, so one glueing per such key decides composition.may_hold,
+a necessary condition of member.  Hits and their order do not change.
+
 Canonical form quotients only by commutativity of the glueing operations:
 children of a node are ordered by (leaf count, serialized key, flag).  Flags
 are enumerated on every edge, including edges to leaves; a flag on a leaf
@@ -25,17 +30,20 @@ mirror-placed copies already at n = 2).
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, flip
-from .composition import ClassSet, Op, compose_sets, member, singleton
+from .composition import ClassSet, Op, compose_sets, may_hold, member, singleton
 from .errors import SearchCapError
 
 DEFAULT_SEARCH_CAP = 8
 CAP_ENV_VAR = "GCDISSECT_SEARCH_CAP"
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -307,7 +315,9 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     parameters certifies the class is not n-gc-self-affine (within the
     enumeration cap).  Hits come in a fixed order: root sets in the order
     the level-wise pass first meets them, then each set's trees in
-    back-pointer order.
+    back-pointer order.  At level n only pairs whose root passes may_hold, a
+    necessary condition of member, are glued; hits and order stay the same.
+    Each level logs its counts on the "gcdissect.treesearch" debug logger.
     """
     _check_size(n)
     targets: list[AffineClass] = [leaf]
@@ -316,17 +326,35 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
         if flipped != leaf:
             targets.append(flipped)
     # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
-    # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left
+    # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left;
+    # edges[k]: (set, flag, small id of the set's signature) per set and flag
     levels: list[dict[ClassSet, list[tuple]]] = [{}, {singleton(leaf): []}]
+    edges, ids = [[]], {}
     for k in range(2, n + 1):
+        edges.append(
+            [(s, f, ids.setdefault(s.signature, len(ids))) for s, f in _with_flags(levels[k - 1])]
+        )
         level: dict[ClassSet, list[tuple]] = {}
+        # at level n only: (id1, f1, id2, f2, op) -> can the root hold a target?
+        verdicts: dict[tuple, bool] = {}
+        composed = skipped = 0
         for op in (Op.DOT, Op.COLON):
             for k1 in range(1, k // 2 + 1):
-                lower, upper = _with_flags(levels[k1]), _with_flags(levels[k - k1])
-                for (s1, f1), (s2, f2) in _pairs(lower, upper, 2 * k1 == k):
+                for (s1, f1, i1), (s2, f2, i2) in _pairs(edges[k1], edges[k - k1], 2 * k1 == k):
+                    key = (i1, f1, i2, f2, op)
+                    if not verdicts.get(key, True):
+                        skipped += 1
+                        continue
+                    composed += 1
                     root = compose_sets(s1, f1, s2, f2, op)
-                    if root:
+                    if k == n and key not in verdicts:
+                        verdicts[key] = any(may_hold(root.signature, t, tol) for t in targets)
+                    if root and verdicts.get(key, True):
                         level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+        _log.debug(
+            "level %d: %d distinct sets, %d pairs tried, %d composed, %d skipped, %d verdicts",
+            k, len(level), composed + skipped, composed, skipped, len(verdicts),
+        )
         levels.append(level)
 
     hits = []

@@ -284,6 +284,16 @@ def test_cli_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["search", "--help"], ["verify", "-h"]])
+def test_cli_help_is_json(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["help"]
+    assert doc["help"].startswith(f"usage: gcdissect {argv[0] if len(argv) > 1 else ''}")
+
+
 def test_cli_bad_numbers_exit_2_with_json(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--points", "0,0;1,0;1,nan;0,1"])
@@ -430,7 +440,7 @@ FUZZ_TOKENS = {
 FUZZ_VALUES = (
     "Q:1/5,1/2", "Q:1/2,2/3", "Q:0.5,0.8284271247461903", "Q:1,2", "Q:1/2", "T:1/3",
     "T:2", "P", "X", "", "-1", "0", "1", "2", "3", "4", "5", "9", "2000", "1e-9",
-    "nan", "inf", "abc", "--",
+    "nan", "inf", "abc", "--", "-h", "--help",
 )
 
 

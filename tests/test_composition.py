@@ -7,10 +7,11 @@ algebraic laws on random rational inputs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gcdissect import (
     ClassSet,
@@ -31,7 +32,7 @@ from gcdissect import (
     member,
     standard_placement,
 )
-from gcdissect.composition import ROWS, cut_quad, decompose, singleton
+from gcdissect.composition import ROWS, cut_quad, decompose, may_hold, singleton
 
 F = Fraction
 
@@ -181,6 +182,50 @@ def test_member_points():
     s = singleton(GenericQuad(F(1, 20), F(5, 16)))
     assert member(s, GenericQuad(F(1, 20), F(5, 16)), 0)
     assert not member(s, GenericQuad(F(1, 5), F(1, 2)), 0)
+
+
+def test_signature_kinds_and_quotients():
+    s = ClassSet(
+        q_points=(GenericQuad(F(1, 20), F(5, 16)), GenericQuad(F(1, 10), F(5, 8))),
+        t_intervals=(Interval(F(1, 10), False, F(1), False),),
+        has_p=True,
+    )
+    assert s.signature == (("P", 1), ("Q", F(4, 25)), ("T", 1))
+
+
+def test_may_hold_kinds_and_bound():
+    c = GenericQuad(F(1, 5), F(1, 2))
+    sig = (("Q", F(2, 5)),)
+    assert may_hold(sig, c) and may_hold(sig, flip(c))
+    assert not may_hold((("T", 1), ("P", 1)), c, 1)
+    assert may_hold((("T", 1),), Trapezoid(F(1, 3))) and not may_hold(sig, Parallelogram())
+    assert not may_hold((("Q", F(2, 5) + F(1, 10**9)),), c, 0)
+    # 2*tol/(beta - tol) is 1/2 at tol 1/10, compared exactly
+    assert may_hold((("Q", F(9, 10)),), c, F(1, 10))
+    assert not may_hold((("Q", F(9, 10) + F(1, 10**9)),), c, F(1, 10))
+    # no bound once tol reaches beta
+    assert may_hold((("Q", F(1, 10**6)),), c, F(1, 2))
+
+
+def test_may_hold_widens_float_quotients_by_roundoff():
+    c = GenericQuad(0.2, 0.5)
+    assert may_hold((("Q", math.nextafter(0.2 / 0.5, 1)),), c, 0)
+    assert not may_hold((("Q", 0.2 / 0.5 * (1 + 1e-9)),), c, 0)
+
+
+@given(
+    rational_q(),
+    st.fractions(min_value=0, max_value=F(1, 4), max_denominator=50),
+    st.integers(-10, 10),
+    st.integers(-10, 10),
+)
+def test_may_hold_is_necessary_for_member_at_points(c, tol, i, j):
+    # any point within tol of c in alpha and beta, the corners included
+    alpha, beta = c.alpha + tol * F(i, 10), c.beta + tol * F(j, 10)
+    assume(0 < alpha < beta < 1)
+    s = singleton(GenericQuad(alpha, beta))
+    assert member(s, c, tol)
+    assert may_hold(s.signature, c, tol)
 
 
 # ---------------------------------------------------------------------------

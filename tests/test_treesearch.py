@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import logging
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,10 @@ from gcdissect import (
     quotient_exponents,
     search_self_affine,
 )
-from gcdissect.treesearch import canonical
+from gcdissect import treesearch
+from gcdissect.composition import compose_sets, singleton
+from gcdissect.scalars import quotients_equal
+from gcdissect.treesearch import _expand, _pairs, _with_flags, canonical
 
 F = Fraction
 
@@ -216,3 +221,140 @@ def test_search_matches_per_tree_reference(leaf, tol):
             assert canonical(h.tree).key == h.tree.key
         got = sorted((h.tree.key, repr(h.witness)) for h in hits)
         assert got == _reference_hits(leaf, n, tol), n
+
+
+# ---------------------------------------------------------------------------
+# the last-level check against the unfiltered level loop
+
+
+def _unfiltered_hits(leaf, n, tol):
+    """The level-wise search with every pair composed at every level."""
+    targets = [leaf]
+    if isinstance(leaf, GenericQuad) and flip(leaf) != leaf:
+        targets.append(flip(leaf))
+    levels = [{}, {singleton(leaf): []}]
+    for k in range(2, n + 1):
+        level = {}
+        for op in (Op.DOT, Op.COLON):
+            for k1 in range(1, k // 2 + 1):
+                lower, upper = _with_flags(levels[k1]), _with_flags(levels[k - k1])
+                for (s1, f1), (s2, f2) in _pairs(lower, upper, 2 * k1 == k):
+                    root = compose_sets(s1, f1, s2, f2, op)
+                    if root:
+                        level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+        levels.append(level)
+    hits = []
+    for root in levels[n]:
+        for target in targets:
+            if member(root, target, tol):
+                hits.extend((t.key, root, target) for t in _expand(levels, n, root))
+                break
+    return hits
+
+
+def _criterion_3_classes(count):
+    rng = random.Random(303)
+    out = []
+    while len(out) < count:
+        d1, d2 = rng.randint(3, 9), rng.randint(3, 9)
+        a, b = F(rng.randint(1, d1 - 1), d1), F(rng.randint(1, d2 - 1), d2)
+        if a < b:
+            out.append(GenericQuad(a, b))
+    return out
+
+
+@pytest.mark.parametrize(
+    "leaf, tol",
+    [
+        (GenericQuad(F(1, 5), F(1, 2)), 0),
+        (Trapezoid(F(1, 3)), 0),
+        (Parallelogram(), 0),
+        (GenericQuad(F(1, 2), F(2, 3)), 1),
+        (GenericQuad(F(1, 2), F(2, 3)), F(1, 10)),
+        (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9),
+        (GenericQuad(0.3, 0.35), 0.4),
+        *((cls, 0) for cls in _criterion_3_classes(3)),
+    ],
+    ids=[
+        "generic", "trapezoid", "parallelogram", "kite-tol-1", "kite-tol-1/10",
+        "family-II", "float-tol-above-beta", "crit3-a", "crit3-b", "crit3-c",
+    ],
+)
+def test_search_matches_unfiltered_level_loop(leaf, tol):
+    for n in range(1, 7):
+        got = [(h.tree.key, h.root_set, h.witness) for h in search_self_affine(leaf, n, tol)]
+        assert got == _unfiltered_hits(leaf, n, tol), n
+
+
+def test_last_level_composes_few_pairs(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compose_sets(*args)
+
+    monkeypatch.setattr(treesearch, "compose_sets", counting)
+    assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 6) == []
+    assert len(calls) < 3000
+
+
+def _level_counts(records):
+    return {r.args[0]: r.args[1:] for r in records if r.name == "gcdissect.treesearch"}
+
+
+def test_search_logs_counts_per_level(caplog):
+    with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
+        assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 4) == []
+    # level: (distinct sets, pairs tried, composed, skipped, verdicts)
+    assert _level_counts(caplog.records) == {
+        2: (6, 6, 6, 0, 0),
+        3: (20, 48, 48, 0, 0),
+        4: (0, 316, 40, 276, 40),
+    }
+
+
+def test_search_logger_has_no_handlers():
+    search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 4)
+    for name in ("gcdissect", "gcdissect.treesearch"):
+        logger = logging.getLogger(name)
+        assert logger.handlers == [] and logger.level == logging.NOTSET
+
+
+def _same_signature(a, b, exact):
+    """Equal signatures; float quotients may differ by roundoff."""
+    if exact:
+        return a == b
+    return all(
+        any(ka == kb and quotients_equal(qa, qb) for kb, qb in other)
+        for one, other in ((a, b), (b, a))
+        for ka, qa in one
+    )
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [
+        GenericQuad(F(1, 5), F(1, 2)),
+        GenericQuad(F(1, 2), F(2, 3)),
+        Trapezoid(F(1, 3)),
+        Parallelogram(),
+        GenericQuad(0.5, 2 * (2**0.5 - 1)),
+    ],
+    ids=["generic", "kite", "trapezoid", "parallelogram", "family-II"],
+)
+def test_equal_signatures_glue_to_equal_signatures(leaf):
+    # All pairs among up to six sets of each signature from the levels k <= 4
+    # (every pair of those sets would take about ten seconds a leaf).
+    cache = {}
+    sets = dict.fromkeys(evaluate(t, leaf, cache) for k in range(1, 5) for t in enumerate_trees(k))
+    by_signature = {}
+    for s in sets:
+        by_signature.setdefault(s.signature, []).append(s)
+    sample = [s for group in by_signature.values() for s in group[:6]]
+    exact = not isinstance(getattr(leaf, "alpha", 0), float)
+    roots = {}
+    for a, b in itertools.product(sample, sample):
+        for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
+            got = compose_sets(a, f1, b, f2, op).signature
+            want = roots.setdefault((a.signature, f1, b.signature, f2, op), got)
+            assert _same_signature(got, want, exact), (a, f1, b, f2, op)
