@@ -190,18 +190,6 @@ def lerp(p: Point, q: Point, t: Scalar) -> Point:
 # ---------------------------------------------------------------------------
 # labeled quads and cuts
 
-SIDE_OPENING = "opening"
-SIDE_CLOSING = "closing"
-SIDE_CONSTANT = "constant"
-
-
-def _side_types(cls: AffineClass) -> tuple[str, str, str, str]:
-    if isinstance(cls, GenericQuad):
-        return (SIDE_OPENING, SIDE_CLOSING, SIDE_CLOSING, SIDE_OPENING)
-    if isinstance(cls, Trapezoid):
-        return (SIDE_CONSTANT, SIDE_CLOSING, SIDE_CONSTANT, SIDE_OPENING)
-    return (SIDE_CONSTANT,) * 4
-
 
 @dataclass(frozen=True)
 class LabeledQuad:
@@ -222,10 +210,6 @@ class LabeledQuad:
     @property
     def points(self) -> Quad:
         return (self.a, self.b, self.c, self.d)
-
-    @property
-    def side_types(self) -> tuple[str, str, str, str]:
-        return _side_types(self.cls)
 
     def side(self, i: int) -> tuple[Point, Point]:
         pts = self.points

@@ -33,7 +33,7 @@ the parallelogram; a single class is the degenerate closed range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -193,13 +193,16 @@ class Piece(NamedTuple):
 @dataclass(frozen=True)
 class ClassSet:
     """Finite union of points, trapezoid intervals, and Q-curves; has_p
-    tracks the parallelogram class separately."""
+    tracks the parallelogram class separately.  q_quotients, outside
+    equality, keeps each Q point's quotient as the rows computed it (else
+    alpha/beta): recomputed, equal float quotients land a few ulps apart."""
 
     q_points: tuple[GenericQuad, ...] = ()
     t_points: tuple[Trapezoid, ...] = ()
     t_intervals: tuple[Interval, ...] = ()
     q_curves: tuple[QCurve, ...] = ()
     has_p: bool = False
+    q_quotients: tuple[Scalar, ...] = field(default=(), compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return bool(
@@ -230,7 +233,8 @@ class ClassSet:
 
         The rows fix a glued set's kinds and quotients from the operands'
         kinds, quotients and edge flags, not their spans, so equal signatures
-        glue to equal signatures (float quotients up to roundoff).
+        glue to equal signatures, emptiness included; floats agree bitwise,
+        because the quotients are carried through the rows, not recomputed.
         """
         return tuple(sorted({(p.kind, p.quotient) for p in self._unflagged}))
 
@@ -301,8 +305,8 @@ def _point(x: Scalar) -> Span:
 
 def _pieces_of(s: ClassSet, flipped: bool) -> tuple[Piece, ...]:
     out = []
-    for q in s.q_points:
-        r = q.alpha / q.beta
+    quotients = s.q_quotients or [q.alpha / q.beta for q in s.q_points]
+    for q, r in zip(s.q_points, quotients):
         betas = _point(q.beta)
         out.append(Piece("Q", False, _flip_betas(r, betas) if flipped else betas, r))
     for c in s.q_curves:
@@ -329,14 +333,15 @@ def _class_set(pieces: Iterable[Piece]) -> ClassSet:
             else:
                 ti.append(Interval(*s))
         elif s.lo == s.hi:
-            qp.append(GenericQuad(p.quotient * s.lo, s.lo))
+            qp.append((GenericQuad(p.quotient * s.lo, s.lo), p.quotient))
         else:
             qc.append(QCurve(p.quotient, Interval(*s)))
-    qp.sort(key=lambda q: (q.alpha, q.beta))
+    qp.sort(key=lambda qr: (qr[0].alpha, qr[0].beta))
     tp.sort(key=lambda t: t.gamma)
     ti.sort(key=lambda i: (i.lo, i.hi, i.lo_closed, i.hi_closed))
     qc.sort(key=lambda c: (c.quotient, c.betas.lo, c.betas.hi, c.betas.lo_closed))
-    return ClassSet(tuple(qp), tuple(tp), tuple(ti), tuple(qc), has_p)
+    points, quotients = tuple(zip(*qp)) or ((), ())
+    return ClassSet(points, tuple(tp), tuple(ti), tuple(qc), has_p, quotients)
 
 
 def _t(s: Span) -> Piece:

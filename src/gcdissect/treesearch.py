@@ -11,14 +11,15 @@ class (or its flip) lies in the root set.
 The search does not evaluate trees one by one.  A root set depends only on
 the subtrees' sets, and few are distinct, so it runs level by level over
 leaf counts k = 2..n: level k maps each non-empty root set of k-leaf trees
-to back-pointers, made by glueing every unordered pair of flagged
-lower-level sets once.  Only level-n sets that contain the class are
+to back-pointers, made by glueing unordered pairs of flagged lower-level
+sets, each pair once.  Only level-n sets that contain the class are
 expanded back into trees.
 
-At level n a pair is glued only when its root can hold the class: a glued
-set's kinds and quotients (its signature) follow from its operands', their
-flags and the op, so one glueing per such key decides composition.may_hold,
-a necessary condition of member.  Hits and their order do not change.
+A glued set's kinds and quotients (its signature), and whether it is empty,
+follow from its operands' signatures, flags and the op, and a level holds a
+handful of signatures.  So a skeleton of one set per signature is glued
+first, and a pair of sets is glued only when its signatures can reach a
+level-n root passing composition.may_hold.  Hits and their order do not change.
 
 Canonical form quotients only by commutativity of the glueing operations:
 children of a node are ordered by (leaf count, serialized key, flag).  Flags
@@ -30,8 +31,10 @@ mirror-placed copies already at n = 2).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -160,15 +163,21 @@ def enumerate_trees(n: int) -> Iterator[ExtTree]:
 
 
 def _compose_level(n: int, levels: list[tuple[ExtTree, ...]]) -> Iterator[ExtTree]:
+    for op, n1 in _splits(n):
+        lower, upper = _with_flags(levels[n1]), _with_flags(levels[n - n1])
+        same = 2 * n1 == n
+        if same:
+            # pair order must match canonical()'s comparator
+            lower = upper = sorted(lower, key=lambda tf: _edge_order(*tf))
+        for (t1, f1), (t2, f2) in _pairs(lower, upper, same):
+            yield Node(op, t1, f1, t2, f2)
+
+
+def _splits(k: int) -> Iterator[tuple[Op, int]]:
+    """(op, leaves on the left) for the nodes of a k-leaf level, in order."""
     for op in (Op.DOT, Op.COLON):
-        for n1 in range(1, n // 2 + 1):
-            lower, upper = _with_flags(levels[n1]), _with_flags(levels[n - n1])
-            same = 2 * n1 == n
-            if same:
-                # pair order must match canonical()'s comparator
-                lower = upper = sorted(lower, key=lambda tf: _edge_order(*tf))
-            for (t1, f1), (t2, f2) in _pairs(lower, upper, same):
-                yield Node(op, t1, f1, t2, f2)
+        for k1 in range(1, k // 2 + 1):
+            yield op, k1
 
 
 def _with_flags(items: Iterable) -> list[tuple]:
@@ -313,11 +322,24 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     For generic quadrangle targets the flip is also accepted, since the two
     parametrizations name the same shape.  An empty list at tol 0 with exact
     parameters certifies the class is not n-gc-self-affine (within the
-    enumeration cap).  Hits come in a fixed order: root sets in the order
-    the level-wise pass first meets them, then each set's trees in
-    back-pointer order.  At level n only pairs whose root passes may_hold, a
-    necessary condition of member, are glued; hits and order stay the same.
-    Each level logs its counts on the "gcdissect.treesearch" debug logger.
+    enumeration cap).
+
+    A glued set's signature, emptiness included, depends only on the
+    operands' signatures, flags and the op: whether a row applies depends on
+    kinds and flags, Q . Q multiplies quotients, Q : Q divides the smaller by
+    the larger or ties to a T piece, and the other rows give T or P.  So the
+    search runs in three passes.  The skeleton glues one set per signature
+    per level, for every ordered pair of flagged signatures (both
+    orientations when the sizes agree), and records each transition.  The
+    backward pass marks the transitions that reach a level-n signature
+    passing may_hold, a necessary condition of member.  The set pass maps
+    each non-empty root set of level k = 2..n to its back-pointers, glueing
+    each unordered pair of flagged lower-level sets once, in a fixed order,
+    when its transition is marked.  Every pair on a path to a hit is marked
+    and keeps its place, so the hits and their order are those of glueing
+    every pair: root sets in the order level n first meets them, then each
+    set's trees in back-pointer order.  Each level logs its counts on the
+    "gcdissect.treesearch" debug logger.
     """
     _check_size(n)
     targets: list[AffineClass] = [leaf]
@@ -325,35 +347,37 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
         flipped = flip(leaf)
         if flipped != leaf:
             targets.append(flipped)
+    ids, moves, marked = _skeleton(leaf, n, targets, tol)
+
     # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
     # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left;
-    # edges[k]: (set, flag, small id of the set's signature) per set and flag
+    # edges[k]: (set, flag, id of the set's signature) per set and flag
     levels: list[dict[ClassSet, list[tuple]]] = [{}, {singleton(leaf): []}]
-    edges, ids = [[]], {}
+    edges = [[]]
     for k in range(2, n + 1):
-        edges.append(
-            [(s, f, ids.setdefault(s.signature, len(ids))) for s, f in _with_flags(levels[k - 1])]
-        )
+        edges.append([(s, f, ids[k - 1][s.signature][0]) for s, f in _with_flags(levels[k - 1])])
         level: dict[ClassSet, list[tuple]] = {}
-        # at level n only: (id1, f1, id2, f2, op) -> can the root hold a target?
-        verdicts: dict[tuple, bool] = {}
-        composed = skipped = 0
-        for op in (Op.DOT, Op.COLON):
-            for k1 in range(1, k // 2 + 1):
-                for (s1, f1, i1), (s2, f2, i2) in _pairs(edges[k1], edges[k - k1], 2 * k1 == k):
-                    key = (i1, f1, i2, f2, op)
-                    if not verdicts.get(key, True):
-                        skipped += 1
-                        continue
-                    composed += 1
+        glued = 0
+        for op, k1 in _splits(k):
+            lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
+            # (id1, f1) -> positions of the right edges its marked moves admit
+            admitted: dict[tuple, list[int]] = {}
+            for i, (s1, f1, i1) in enumerate(lefts):
+                js = admitted.get((i1, f1))
+                if js is None:
+                    js = admitted[(i1, f1)] = [
+                        j for j, (_, f2, i2) in enumerate(rights)
+                        if (k1, i1, f1, i2, f2, op) in marked[k]
+                    ]
+                for j in js[bisect_left(js, i):] if same else js:
+                    s2, f2, _ = rights[j]
                     root = compose_sets(s1, f1, s2, f2, op)
-                    if k == n and key not in verdicts:
-                        verdicts[key] = any(may_hold(root.signature, t, tol) for t in targets)
-                    if root and verdicts.get(key, True):
-                        level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+                    level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+                    glued += 1
         _log.debug(
-            "level %d: %d distinct sets, %d pairs tried, %d composed, %d skipped, %d verdicts",
-            k, len(level), composed + skipped, composed, skipped, len(verdicts),
+            "level %d: %d skeleton signatures, %d transitions, %d marked, "
+            "%d distinct sets, %d pairs glued",
+            k, len(ids[k]), len(moves[k]), len(marked[k]), len(level), glued,
         )
         levels.append(level)
 
@@ -364,6 +388,36 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                 hits.extend(SearchHit(t, root, target) for t in _expand(levels, n, root))
                 break
     return hits
+
+
+def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list, list]:
+    """search_self_affine's skeleton and backward passes: per level k, ids[k]
+    (signature -> (id, representative set)), moves[k] ((k1, id1, f1, id2, f2,
+    op) -> glued id) and marked[k] (the moves on a path to a level-n
+    signature passing may_hold)."""
+    ids = [{} for _ in range(n + 1)]
+    moves = [{} for _ in range(n + 1)]
+    ids[1][singleton(leaf).signature] = (0, singleton(leaf))
+    for k in range(2, n + 1):
+        for op, k1 in _splits(k):
+            for (i1, r1), f1, (i2, r2), f2 in itertools.product(
+                ids[k1].values(), (False, True), ids[k - k1].values(), (False, True)
+            ):
+                root = compose_sets(r1, f1, r2, f2, op)
+                if root:
+                    j, _ = ids[k].setdefault(root.signature, (len(ids[k]), root))
+                    moves[k][(k1, i1, f1, i2, f2, op)] = j
+    live = [set() for _ in range(n + 1)]
+    live[n] = {j for sig, (j, _) in ids[n].items() if any(may_hold(sig, t, tol) for t in targets)}
+    marked = [set() for _ in range(n + 1)]
+    for k in range(n, 1, -1):
+        for move, j in moves[k].items():
+            if j in live[k]:
+                k1, i1, _, i2, _, _ = move
+                marked[k].add(move)
+                live[k1].add(i1)
+                live[k - k1].add(i2)
+    return ids, moves, marked
 
 
 # Module-level, not a closure over the levels: a recursive closure is a

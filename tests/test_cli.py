@@ -193,6 +193,13 @@ def test_cli_search(capsys):
     assert doc and all("tree" in h and "witness" in h for h in doc)
 
 
+def test_cli_search_certifies_empty_n8(capsys):
+    # the signature skeleton marks no transition, so no level builds a set
+    code, doc = _run(capsys, "search", "--class", "Q:2/7,5/9", "--n", "8")
+    assert code == 0
+    assert doc == []
+
+
 def test_cli_parity(capsys):
     code, doc = _run(capsys, "parity", "--n", "3")
     assert code == 0

@@ -263,30 +263,33 @@ def _criterion_3_classes(count):
     return out
 
 
+# The kite at n = 7 (108 hits) pairs sets of odd sizes the n <= 6 cases do not.
 @pytest.mark.parametrize(
-    "leaf, tol",
+    "leaf, tol, top",
     [
-        (GenericQuad(F(1, 5), F(1, 2)), 0),
-        (Trapezoid(F(1, 3)), 0),
-        (Parallelogram(), 0),
-        (GenericQuad(F(1, 2), F(2, 3)), 1),
-        (GenericQuad(F(1, 2), F(2, 3)), F(1, 10)),
-        (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9),
-        (GenericQuad(0.3, 0.35), 0.4),
-        *((cls, 0) for cls in _criterion_3_classes(3)),
+        (GenericQuad(F(1, 5), F(1, 2)), 0, 6),
+        (Trapezoid(F(1, 3)), 0, 6),
+        (Parallelogram(), 0, 6),
+        (GenericQuad(F(1, 2), F(2, 3)), 1, 6),
+        (GenericQuad(F(1, 2), F(2, 3)), F(1, 10), 6),
+        (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9, 6),
+        (GenericQuad(0.3, 0.35), 0.4, 6),
+        *((cls, 0, 6) for cls in _criterion_3_classes(3)),
+        (GenericQuad(F(3, 4), F(4, 5)), 0, 7),
     ],
     ids=[
         "generic", "trapezoid", "parallelogram", "kite-tol-1", "kite-tol-1/10",
-        "family-II", "float-tol-above-beta", "crit3-a", "crit3-b", "crit3-c",
+        "family-II", "float-tol-above-beta", "crit3-a", "crit3-b", "crit3-c", "kite-n7",
     ],
 )
-def test_search_matches_unfiltered_level_loop(leaf, tol):
-    for n in range(1, 7):
+def test_search_matches_unfiltered_level_loop(leaf, tol, top):
+    for n in range(1, top + 1):
         got = [(h.tree.key, h.root_set, h.witness) for h in search_self_affine(leaf, n, tol)]
         assert got == _unfiltered_hits(leaf, n, tol), n
 
 
 def test_last_level_composes_few_pairs(monkeypatch):
+    # An empty search glues only the skeleton: 256 pairs at n = 6, 696 at n = 8.
     calls = []
 
     def counting(*args):
@@ -294,8 +297,15 @@ def test_last_level_composes_few_pairs(monkeypatch):
         return compose_sets(*args)
 
     monkeypatch.setattr(treesearch, "compose_sets", counting)
-    assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 6) == []
-    assert len(calls) < 3000
+    for n, most in ((6, 400), (8, 1000)):
+        calls.clear()
+        assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), n) == []
+        assert len(calls) < most, n
+
+
+def test_search_certifies_n8_on_random_classes():
+    for cls in _criterion_3_classes(20):
+        assert search_self_affine(cls, 8) == [], cls
 
 
 def _level_counts(records):
@@ -303,13 +313,22 @@ def _level_counts(records):
 
 
 def test_search_logs_counts_per_level(caplog):
+    # level: (skeleton signatures, transitions, marked, distinct sets, pairs glued)
     with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 4) == []
-    # level: (distinct sets, pairs tried, composed, skipped, verdicts)
     assert _level_counts(caplog.records) == {
-        2: (6, 6, 6, 0, 0),
-        3: (20, 48, 48, 0, 0),
-        4: (0, 316, 40, 276, 40),
+        2: (2, 8, 0, 0, 0),
+        3: (2, 10, 0, 0, 0),
+        4: (4, 30, 0, 0, 0),
+    }
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
+        assert len(search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 5)) == 6
+    assert _level_counts(caplog.records) == {
+        2: (2, 8, 8, 6, 6),
+        3: (2, 10, 10, 20, 30),
+        4: (4, 30, 22, 99, 171),
+        5: (3, 40, 18, 244, 606),
     }
 
 
@@ -329,6 +348,26 @@ def _same_signature(a, b, exact):
         for one, other in ((a, b), (b, a))
         for ka, qa in one
     )
+
+
+def test_float_signatures_glue_to_bitwise_equal_signatures():
+    # Each Q point carries the quotient its rows computed, so sets of one
+    # float signature glue to one signature exactly, not a few ulps apart.
+    leaf = GenericQuad(0.5, 2 * (2**0.5 - 1))
+    cache = {}
+    by_signature = {}
+    for k in range(1, 5):
+        for t in enumerate_trees(k):
+            s = evaluate(t, leaf, cache)
+            group = by_signature.setdefault(s.signature, [])
+            if s not in group and len(group) < 6:
+                group.append(s)
+    sample = [s for group in by_signature.values() for s in group]
+    roots = {}
+    for a, b in itertools.product(sample, sample):
+        for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
+            got = compose_sets(a, f1, b, f2, op).signature
+            assert roots.setdefault((a.signature, f1, b.signature, f2, op), got) == got
 
 
 @pytest.mark.parametrize(
