@@ -21,19 +21,20 @@ multiplies both parameters by the flip factor
 
     f = (1 - beta) / ((1 - alpha) * beta).
 
-Classification below is exact over Fractions.  Float input is classified
-with a relative tolerance; configurations too close to parallel to call
-raise AmbiguousGeometryError instead of guessing.
+Classification below is exact for exact input, on ints.  Float input is
+classified with a relative tolerance; configurations too close to parallel
+to call raise AmbiguousGeometryError instead of guessing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import AmbiguousGeometryError, InvalidQuadrangleError
-from .scalars import Scalar, is_exact, scalar_close
+from .scalars import Scalar, divide, is_exact, scalar_close
 
 Point = tuple[Scalar, Scalar]
 Quad = tuple[Point, Point, Point, Point]
@@ -187,6 +188,17 @@ def lerp(p: Point, q: Point, t: Scalar) -> Point:
     return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
+def on_lattice(pts: list[Point]) -> tuple[int, list[Point]]:
+    """(scale, points times scale): with every coordinate exact, scale is the
+    lcm of their denominators and the points become ints; else 1, unchanged."""
+    try:
+        scale = math.lcm(*(c.denominator for p in pts for c in p))
+    except AttributeError:  # floats have no denominator
+        return 1, pts
+    return scale, [(x.numerator * (scale // x.denominator),
+                    y.numerator * (scale // y.denominator)) for x, y in pts]
+
+
 # ---------------------------------------------------------------------------
 # labeled quads and cuts
 
@@ -296,29 +308,37 @@ def _validate_convex(pts: Quad, tol: float) -> None:
         raise InvalidQuadrangleError("vertices are not in convex position in this order")
 
 
-def _line_params(a: Point, b: Point, c: Point, d: Point) -> tuple[Scalar, Scalar]:
-    """Parameters (t, u) with a + t(b-a) = c + u(d-c); lines must intersect."""
+def _line_params(a: Point, b: Point, c: Point, d: Point) -> tuple[Scalar, Scalar, Scalar]:
+    """(N, M, D), D > 0, with a + t(b-a) = c + u(d-c) at t = N/D, u = M/D."""
     r, s = vsub(b, a), vsub(d, c)
     denom = cross(r, s)
     diff = vsub(c, a)
-    return cross(diff, s) / denom, cross(diff, r) / denom
+    n, m = cross(diff, s), cross(diff, r)
+    return (n, m, denom) if denom > 0 else (-n, -m, -denom)
+
+
+def _apex_ratio(n: Scalar, d: Scalar) -> Scalar:
+    """(t - 1) / t at t = n / d: the Fraction (n - d) / n on the lattice."""
+    return Fraction(n - d, n) if isinstance(d, int) else (n / d - 1) / (n / d)
 
 
 def classify_quadrangle(pts: Iterable[Point], tol: float = FLOAT_GEOMETRY_TOL) -> Classification:
     """Affine class of four vertices given in cyclic order.
 
-    Either orientation is accepted.  Exact (Fraction) coordinates classify
-    exactly; float coordinates use tol as a relative threshold on the
-    parallelism tests and raise AmbiguousGeometryError inside the refusal
-    band.  Raises InvalidQuadrangleError unless the vertices are strictly
-    convex in the given order.
+    Either orientation is accepted.  Exact (Fraction or int) coordinates
+    classify exactly, on ints after scaling by the lcm of their own
+    denominators: a positive scaling keeps orientation, class and labeling.
+    Float coordinates use tol as a relative threshold on the parallelism
+    tests and raise AmbiguousGeometryError inside the refusal band.  Raises
+    InvalidQuadrangleError unless the vertices are strictly convex in the
+    given order.
 
     The labeling in the result maps the reference labeling of the reported
     class onto the input: for a trapezoid, (a, b, c, d) with bc the short
     parallel side and ad the long one; for a generic quadrangle, the
     lex-min (alpha, beta) labeling.
     """
-    pts = tuple(tuple(p) for p in pts)
+    pts = on_lattice([tuple(p) for p in pts])[1]
     _validate_convex(pts, tol)
 
     sides = [vsub(pts[(i + 1) % 4], pts[i]) for i in range(4)]
@@ -334,7 +354,7 @@ def classify_quadrangle(pts: Iterable[Point], tol: float = FLOAT_GEOMETRY_TOL) -
 
 def _side_ratio(u: Point, v: Point) -> Scalar:
     """|u| / |v| for antiparallel u, v, without square roots."""
-    return abs(dot(u, v)) / dot(v, v)
+    return divide(abs(dot(u, v)), dot(v, v))
 
 
 def _classify_trapezoid(pts: Quad, sides: list[Point], short_first: bool) -> Classification:
@@ -361,14 +381,13 @@ def _classify_generic(pts: Quad) -> Classification:
     orders += [tuple((s - k) % 4 for k in range(4)) for s in range(4)]
     for order in orders:
         a, b, c, d = (pts[j] for j in order)
-        t_s, w_s = _line_params(a, b, d, c)
-        if not (t_s > 1 and w_s > 1):
+        n_t, n_w, den = _line_params(a, b, d, c)
+        if not (n_t > den and n_w > den):
             continue
-        u_t, v_t = _line_params(a, d, b, c)
-        if not (u_t > 1 and v_t > 1):
+        n_u, n_v, den_t = _line_params(a, d, b, c)
+        if not (n_u > den_t and n_v > den_t):
             continue
-        alpha = (t_s - 1) / t_s
-        beta = (w_s - 1) / w_s
+        alpha, beta = _apex_ratio(n_t, den), _apex_ratio(n_w, den)
         if alpha < beta and (best is None or (alpha, beta) < best[0]):
             best = ((alpha, beta), order)  # type: ignore[assignment]
     if best is None:

@@ -13,6 +13,7 @@ verification) with {"error": ...} on stdout, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -465,6 +466,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gcdissect",

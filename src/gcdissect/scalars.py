@@ -27,6 +27,13 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
+def divide(n: Scalar, d: Scalar) -> Scalar:
+    """n / d, as a Fraction when both are ints, so integer input stays exact."""
+    if isinstance(n, int) and isinstance(d, int):
+        return Fraction(n, d)
+    return n / d
+
+
 def exactify(x: Scalar) -> Fraction:
     """Fraction from an exact scalar. Refuses floats: converting would launder
     roundoff into 'exact' arithmetic."""

@@ -17,11 +17,18 @@ separated (their overlap area is exactly 0); the rest are clipped with the
 Sutherland-Hodgman algorithm over the input scalars, so rational plans give
 rational intersection areas and a tolerance of zero is meaningful.  A tile
 that is not a strictly convex quad is clipped against every other tile.
+
+Exact plans are checked on ints: root and tile coordinates are multiplied
+by the lcm of their denominators, which keeps every sign and multiplies
+every area by the same square; reported areas are divided back exactly.  A
+plan with a float coordinate keeps scale 1 and its own coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .affine_types import (
@@ -33,25 +40,24 @@ from .affine_types import (
     classify_quadrangle,
     cross,
     dot,
+    on_lattice,
     vsub,
 )
 from .errors import AmbiguousGeometryError, InvalidQuadrangleError
 from .realizer import DissectionPlan
-from .scalars import Scalar
+from .scalars import Scalar, divide
 
 Polygon = Sequence[Point]
+
+
+def _doubled_area(pts: Polygon) -> Scalar:
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
 
 
 def signed_area(pts: Polygon) -> Scalar:
     """Area of a simple polygon, positive when its vertices run
     counterclockwise."""
-    total = 0
-    n = len(pts)
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total / 2
+    return divide(_doubled_area(pts), 2)
 
 
 def polygon_area(pts: Polygon) -> Scalar:
@@ -71,7 +77,7 @@ def _clip_halfplane(subject: list[Point], a: Point, b: Point) -> list[Point]:
         cur_side = cross(edge, vsub(cur, a))
         if cur_side >= 0:
             if prev_side < 0:
-                t = prev_side / (prev_side - cur_side)
+                t = divide(prev_side, prev_side - cur_side)
                 out.append(
                     (
                         prev[0] + t * (cur[0] - prev[0]),
@@ -80,7 +86,7 @@ def _clip_halfplane(subject: list[Point], a: Point, b: Point) -> list[Point]:
                 )
             out.append(cur)
         elif prev_side >= 0:
-            t = prev_side / (prev_side - cur_side)
+            t = divide(prev_side, prev_side - cur_side)
             out.append(
                 (
                     prev[0] + t * (cur[0] - prev[0]),
@@ -232,10 +238,10 @@ def verify_plan(
     opposite sides.  Tiles inside the root whose areas sum to the root's
     and that do not overlap cover it.  Tile pairs go through a bounding-box
     sweep, then the separating-axis test, which counts touching tiles as
-    separated; only pairs it cannot separate are clipped.  tol = 0 demands
-    exact agreement; a
-    positive tol bounds the class parameters directly and the area and
-    containment checks relative to the root's area.
+    separated; only pairs it cannot separate are clipped.  Exact plans run
+    these on ints (see the module docstring).  tol = 0 demands exact
+    agreement; a positive tol bounds the class parameters directly and the
+    area and containment checks relative to the root's area.
 
     The expected class defaults to the root's own class, which is right
     for self-affine plans.  Pass it explicitly for plans whose tiles are
@@ -261,39 +267,44 @@ def verify_plan(
         note = "" if ok else f"classified as {got.cls}"
         tile_results.append(TileCheck(i, expected, got.cls, ok, note))
 
-    root_area = polygon_area(plan.root.points)
-    tile_areas = [signed_area(t.points) for t in plan.tiles]
-    tile_area = sum(abs(a) for a in tile_areas)
-    area_deficit = abs(root_area - tile_area)
+    # Doubled areas on the lattice are unit = 2 * scale**2 times real areas.
+    scale, flat = on_lattice([*plan.root.points, *(p for t in plan.tiles for p in t.points)])
+    unit = 2 * scale * scale
+    lroot, ltiles = flat[:4], [flat[k : k + 4] for k in range(4, len(flat), 4)]
+    root_signed = _doubled_area(lroot)
+    tile_doubled = [_doubled_area(t) for t in ltiles]
+    root_area = divide(abs(root_signed), unit)
+    area_deficit = abs(root_area - divide(sum(abs(a) for a in tile_doubled), unit))
     area_ok = area_deficit <= tol * root_area
 
     # Each tile vertex v must be on the inner side of every root edge pq:
     # the signed area of (p, q, v), taken in the root's orientation, is at
     # least -tol * root_area.  Compared doubled, as the linear form
     # nx*x + ny*y + c, so without division; shared vertices are tested once.
-    root = plan.root.points
-    lines = _inner_lines(root, 1 if signed_area(root) > 0 else -1)
+    # The slack is scaled exactly; an int is below s iff it is below ceil(s).
+    lines = _inner_lines(lroot, 1 if root_signed > 0 else -1)
     slack = -2 * tol * root_area
+    limit = slack if scale == 1 else math.ceil(Fraction(slack) * scale * scale)
     first_seen: dict[Point, tuple[int, int]] = {}
-    for i, tile in enumerate(plan.tiles):
-        for k, v in enumerate(tile.points):
+    for i, tile in enumerate(ltiles):
+        for k, v in enumerate(tile):
             first_seen.setdefault(v, (i, k))
     outside = [
-        f"tile {i} vertex {k} lies outside root side {j} by triangle area {-doubled / 2}"
+        f"tile {i} vertex {k} lies outside root side {j} by triangle area "
+        f"{divide(-doubled, unit)}"
         for v, (i, k) in first_seen.items()
         for j, (nx, ny, c) in enumerate(lines)
-        if (doubled := nx * v[0] + ny * v[1] + c) < slack
+        if (doubled := nx * v[0] + ny * v[1] + c) < limit
     ]
 
+    # Overlapping pairs are clipped from the tiles' own points.
     max_overlap: Scalar = 0
-    tiles = [t.points for t in plan.tiles]
-    edges = [_convex_lines(t, a) for t, a in zip(tiles, tile_areas)]
-    for i, j in _overlap_candidates(tiles, edges):
-        if edges[i] and edges[j] and _separated(tiles[i], edges[i], tiles[j], edges[j]):
+    edges = [_convex_lines(t, a) for t, a in zip(ltiles, tile_doubled)]
+    for i, j in _overlap_candidates(ltiles, edges):
+        if edges[i] and edges[j] and _separated(ltiles[i], edges[i], ltiles[j], edges[j]):
             continue
-        overlap = convex_intersection_area(tiles[i], tiles[j])
-        if overlap > max_overlap:
-            max_overlap = overlap
+        overlap = convex_intersection_area(plan.tiles[i].points, plan.tiles[j].points)
+        max_overlap = max(max_overlap, overlap)
     overlap_ok = max_overlap <= tol * root_area
 
     violations: list[str] = []

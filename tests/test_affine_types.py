@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_verifier import convex_quads
 
 from gcdissect import (
     AmbiguousGeometryError,
@@ -22,6 +25,8 @@ from gcdissect import (
     is_affine_kite,
     standard_placement,
 )
+from gcdissect import affine_types
+from gcdissect.affine_types import FLOAT_GEOMETRY_TOL, Classification, cross, vsub
 
 F = Fraction
 
@@ -194,3 +199,90 @@ def test_classify_all_cyclic_orders_agree():
         rotated = pts[s:] + pts[:s]
         assert classify_quadrangle(rotated).cls == expected
         assert classify_quadrangle(rotated[::-1]).cls == expected
+
+
+def test_classify_int_coordinates_exactly():
+    got = classify_quadrangle(((0, 0), (4, 0), (3, 2), (0, 3)))
+    assert got.cls == GenericQuad(F(5, 9), F(2, 3))
+    assert type(got.cls.alpha) is Fraction and type(got.cls.beta) is Fraction
+    got = classify_quadrangle(((0, 0), (4, 0), (3, 2), (1, 2)))
+    assert got.cls == Trapezoid(F(1, 2)) and type(got.cls.gamma) is Fraction
+
+
+scale = st.fractions(min_value=F(1, 40), max_value=40, max_denominator=40)
+shift = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@settings(max_examples=80)
+@given(convex_quads(), scale, shift, shift)
+def test_classify_invariant_under_scaling_and_translation(pts, s, dx, dy):
+    moved = tuple((s * x + dx, s * y + dy) for x, y in pts)
+    assert classify_quadrangle(moved) == classify_quadrangle(pts)
+
+
+@settings(max_examples=80)
+@given(convex_quads(), st.integers(min_value=1, max_value=10**6))
+def test_classify_int_scaled_copy(pts, k):
+    den = k * math.lcm(*(c.denominator for p in pts for c in p))
+    ints = tuple((int(x * den), int(y * den)) for x, y in pts)
+    got = classify_quadrangle(ints)
+    assert got == classify_quadrangle(pts)
+    assert all(type(v) is Fraction for v in vars(got.cls).values())
+
+
+def _quotient_line_params(a, b, c, d):
+    """(t, u) with a + t(b-a) = c + u(d-c), as quotients."""
+    r, s = vsub(b, a), vsub(d, c)
+    denom = cross(r, s)
+    diff = vsub(c, a)
+    return cross(diff, s) / denom, cross(diff, r) / denom
+
+
+def _quotient_classify(pts, tol=FLOAT_GEOMETRY_TOL):
+    """classify_quadrangle with the generic case computed on the quotients
+    t, u themselves: the reference for float input."""
+    affine_types._validate_convex(pts, tol)
+    sides = [vsub(pts[(i + 1) % 4], pts[i]) for i in range(4)]
+    par02 = affine_types._sign_of_cross(sides[0], sides[2], tol, "sides 01 and 23") == 0
+    par13 = affine_types._sign_of_cross(sides[1], sides[3], tol, "sides 12 and 30") == 0
+    if par02 and par13:
+        return Classification(Parallelogram(), (0, 1, 2, 3))
+    if par02 or par13:
+        return affine_types._classify_trapezoid(pts, sides, short_first=par02)
+    best = None
+    orders = [tuple((s + k) % 4 for k in range(4)) for s in range(4)]
+    orders += [tuple((s - k) % 4 for k in range(4)) for s in range(4)]
+    for order in orders:
+        a, b, c, d = (pts[j] for j in order)
+        t_s, w_s = _quotient_line_params(a, b, d, c)
+        if not (t_s > 1 and w_s > 1):
+            continue
+        u_t, v_t = _quotient_line_params(a, d, b, c)
+        if not (u_t > 1 and v_t > 1):
+            continue
+        alpha = (t_s - 1) / t_s
+        beta = (w_s - 1) / w_s
+        if alpha < beta and (best is None or (alpha, beta) < best[0]):
+            best = ((alpha, beta), order)
+    if best is None:
+        raise InvalidQuadrangleError("no labeling yields generic parameters; degenerate input")
+    (alpha, beta), order = best
+    return Classification(GenericQuad(alpha, beta), order)
+
+
+def _outcome(classify, pts):
+    try:
+        return classify(pts)
+    except (InvalidQuadrangleError, AmbiguousGeometryError) as exc:
+        return type(exc), str(exc)
+
+
+def test_float_classification_matches_quotient_reference():
+    rng = random.Random(77)
+    for _ in range(10**4):
+        pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+        if rng.random() < 0.8:  # mostly convex: in angular order about the centroid
+            cx, cy = sum(x for x, _ in pts) / 4, sum(y for _, y in pts) / 4
+            pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+        pts = tuple(pts)
+        assert _outcome(classify_quadrangle, pts) == _outcome(_quotient_classify, pts)

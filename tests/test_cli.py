@@ -291,6 +291,25 @@ def test_cli_usage_error():
     assert exc.value.code == 2
 
 
+def test_cli_back_to_back_calls_share_no_state(capsys, tmp_path):
+    # The parser is built once per process; every call starts from its defaults.
+    approx = tmp_path / "approx.json"
+    approx.write_text(dumps_plan(dissect_even_general(Q_GENERIC, 6), Q_GENERIC))
+    code, doc = _run(capsys, "verify", "--plan", str(approx), "--tol", "1e-9")
+    assert code == 0 and doc["ok"]
+    code, doc = _run(capsys, "verify", "--plan", str(approx))  # the plan's own tol, 0
+    assert code == 1 and not doc["ok"]
+    code, doc = _run(capsys, "classify", "--points", "0,0;4,0;3,2;0,3")
+    assert code == 0 and doc["class"] == {"kind": "Q", "alpha": "5/9", "beta": "2/3"}
+    code, doc = _run(capsys, "search", "--class", "T:1/2", "--n", "2")
+    assert code == 0 and doc
+    for argv in (["verify"], ["search", "--class", "X", "--n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error" in json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["search", "--help"], ["verify", "-h"]])
 def test_cli_help_is_json(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gcdissect.scalars import (
+    divide,
     exactify,
     is_exact,
     parse_scalar,
@@ -38,6 +39,14 @@ def test_is_exact():
     assert not is_exact(0.25)
     # bool is an int subtype but not a scalar
     assert not is_exact(True)
+
+
+def test_divide_keeps_ints_exact():
+    got = divide(5, 9)
+    assert type(got) is Fraction and got == Fraction(5, 9)
+    assert divide(Fraction(1, 3), 2) == Fraction(1, 6)
+    got = divide(1.0, 4)
+    assert type(got) is float and got == 0.25
 
 
 def test_exactify_refuses_floats():

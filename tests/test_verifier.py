@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcdissect import (
+    AmbiguousGeometryError,
     CutRecord,
     DissectionPlan,
     GenericQuad,
@@ -20,12 +22,16 @@ from gcdissect import (
     dissect_even_general,
     dissect_odd,
     dissect_por5,
+    dissect_trapezoid,
     dissect_trapezoid_selfaffine,
     polygon_area,
     standard_placement,
     verify_plan,
     verifier,
 )
+from gcdissect.affine_types import canonicalize, class_close, classify_quadrangle
+from gcdissect.cli import report_to_doc
+from gcdissect.verifier import signed_area
 
 UNIT = ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)))
 
@@ -42,6 +48,13 @@ def test_polygon_area():
     tri = ((F(0), F(0)), (F(2), F(0)), (F(0), F(2)))
     assert polygon_area(tri) == 2
     assert polygon_area(tuple(reversed(tri))) == 2
+
+
+def test_int_polygon_areas_are_exact():
+    tri = ((0, 0), (3, 0), (0, 1))
+    for got in (signed_area(tri), polygon_area(tri[::-1])):
+        assert type(got) is F and got == F(3, 2)
+    assert type(convex_intersection_area(tri, ((1, 0), (4, 0), (1, 1)))) is F
 
 
 def test_intersection_fixed_cases():
@@ -348,3 +361,252 @@ def test_intact_plan_clips_no_pair(monkeypatch):
     report = verify_plan(doubled, 0)
     assert not report.ok and report.max_overlap_area > 0
     assert calls
+
+
+# ------------------------------------------------ the reference verifier
+
+
+def _reference_verify(plan, tol=0, expected=None):
+    """verify_plan computed on the plan's own coordinates, without the
+    integer lattice: the reference for the lattice checks."""
+    if expected is None:
+        expected = plan.root.cls
+    expected = canonicalize(expected)
+    class_tol = float(tol) if tol else 0
+    tile_results = []
+    for i, tile in enumerate(plan.tiles):
+        try:
+            got = classify_quadrangle(tile.points, tol=class_tol if class_tol else 1e-15)
+        except (InvalidQuadrangleError, AmbiguousGeometryError) as exc:
+            tile_results.append(verifier.TileCheck(i, expected, None, False, str(exc)))
+            continue
+        ok = class_close(got.cls, expected, tol)
+        note = "" if ok else f"classified as {got.cls}"
+        tile_results.append(verifier.TileCheck(i, expected, got.cls, ok, note))
+
+    root_area = polygon_area(plan.root.points)
+    tile_areas = [signed_area(t.points) for t in plan.tiles]
+    area_deficit = abs(root_area - sum(abs(a) for a in tile_areas))
+    root = plan.root.points
+    lines = verifier._inner_lines(root, 1 if signed_area(root) > 0 else -1)
+    slack = -2 * tol * root_area
+    first_seen = {}
+    for i, tile in enumerate(plan.tiles):
+        for k, v in enumerate(tile.points):
+            first_seen.setdefault(v, (i, k))
+    outside = [
+        f"tile {i} vertex {k} lies outside root side {j} by triangle area {-doubled / 2}"
+        for v, (i, k) in first_seen.items()
+        for j, (nx, ny, c) in enumerate(lines)
+        if (doubled := nx * v[0] + ny * v[1] + c) < slack
+    ]
+    max_overlap = 0
+    tiles = [t.points for t in plan.tiles]
+    edges = [verifier._convex_lines(t, a) for t, a in zip(tiles, tile_areas)]
+    for i, j in verifier._overlap_candidates(tiles, edges):
+        if edges[i] and edges[j] and verifier._separated(tiles[i], edges[i], tiles[j], edges[j]):
+            continue
+        max_overlap = max(max_overlap, convex_intersection_area(tiles[i], tiles[j]))
+    violations = []
+    if plan.gc:
+        if len(plan.cuts) != len(plan.tiles) - 1:
+            violations.append(
+                f"glass-cut plan records {len(plan.cuts)} cuts for "
+                f"{len(plan.tiles)} tiles; it needs {len(plan.tiles) - 1}"
+            )
+        violations += filter(None, (verifier._check_cut(cut, tol) for cut in plan.cuts))
+    ok = (
+        all(r.ok for r in tile_results)
+        and area_deficit <= tol * root_area
+        and not outside
+        and max_overlap <= tol * root_area
+        and not violations
+    )
+    return verifier.VerificationReport(
+        ok, tuple(tile_results), area_deficit, max_overlap, tuple(violations), tuple(outside)
+    )
+
+
+def _map_plan(plan, f):
+    """The plan with f applied to every point of its root, tiles and cuts."""
+
+    def quad(q):
+        return dataclasses.replace(q, a=f(q.a), b=f(q.b), c=f(q.c), d=f(q.d))
+
+    cuts = tuple(
+        dataclasses.replace(
+            c, parent=tuple(map(f, c.parent)), start=f(c.start), end=f(c.end)
+        )
+        for c in plan.cuts
+    )
+    return dataclasses.replace(
+        plan, root=quad(plan.root), tiles=tuple(map(quad, plan.tiles)), cuts=cuts
+    )
+
+
+def _tamper(plan, kind):
+    """One planted defect, the four kinds the plans benchmark plants."""
+    if kind == "gc_flag":
+        return dataclasses.replace(plan, gc=True)
+    tiles = list(plan.tiles)
+    k, other = sorted(
+        range(len(tiles)), key=lambda j: polygon_area(tiles[j].points), reverse=True
+    )[:2]
+    tile = tiles[k]
+    if kind == "overlap":  # centroid onto the other tile's centroid
+        (cx, cy), (ox, oy) = (
+            (sum(p[0] for p in t.points) / 4, sum(p[1] for p in t.points) / 4)
+            for t in (tile, tiles[other])
+        )
+        shift = (ox - cx, oy - cy)
+    elif kind == "outside":
+        xs = [p[0] for p in plan.root.points]
+        shift = (2 * (max(xs) - min(xs)) + 1, 0)
+    else:  # wrong_class: cut a corner triangle off along side ab
+        a, b = tile.a, tile.b
+        tiles[k] = dataclasses.replace(
+            tile, a=(a[0] + (b[0] - a[0]) / 4, a[1] + (b[1] - a[1]) / 4)
+        )
+        return dataclasses.replace(plan, tiles=tuple(tiles))
+    tiles[k] = dataclasses.replace(
+        tile, **{v: (p[0] + shift[0], p[1] + shift[1]) for v, p in zip("abcd", tile.points)}
+    )
+    return dataclasses.replace(plan, tiles=tuple(tiles))
+
+
+def _primes(count, n=2**31 - 1):
+    """The count largest primes up to n < 3.2e9 (Miller-Rabin, bases 2, 3,
+    5 and 7, deterministic in that range)."""
+
+    def is_prime(m):
+        d, r = m - 1, 0
+        while d % 2 == 0:
+            d, r = d // 2, r + 1
+        for a in (2, 3, 5, 7):
+            x = pow(a, d, m)
+            if x in (1, m - 1):
+                continue
+            for _ in range(r - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        return True
+
+    out = []
+    while len(out) < count:
+        if is_prime(n):
+            out.append(n)
+        n -= 2 if n % 2 else 1
+    return out
+
+
+def _coprime_plan():
+    """dissect_odd at 51 tiles with the first 50 distinct vertices snapped
+    to 100 distinct 31-bit prime denominators: the largest plan lattice."""
+    plan = dissect_odd(Q_GENERIC, 51)
+    primes = iter(_primes(100))
+    snapped = {}
+    for q in (plan.root, *plan.tiles):
+        for v in q.points:
+            if v not in snapped and len(snapped) < 50:
+                p, r = next(primes), next(primes)
+                snapped[v] = (F(round(v[0] * p), p), F(round(v[1] * r), r))
+    return _map_plan(plan, lambda v: snapped.get(v, v))
+
+
+def _floats(plan):
+    return _map_plan(plan, lambda p: (float(p[0]), float(p[1])))
+
+
+Q_KITE = GenericQuad(F(1, 2), F(2, 3))
+# name: (smallest tile count, construction at n tiles; even ones round down)
+CONSTRUCTIONS = {
+    "odd": (5, lambda n: dissect_odd(Q_GENERIC, n)),
+    "odd_kite": (7, lambda n: dissect_odd(Q_KITE, n)),
+    "fan_T": (2, lambda n: dissect_trapezoid_selfaffine(Trapezoid(F(1, 3)), n)),
+    "fan_P": (2, lambda n: dissect_trapezoid_selfaffine(Parallelogram(), n)),
+    "por5": (5, lambda n: dissect_por5(Q_GENERIC)),
+    "even_general": (6, lambda n: dissect_even_general(Q_GENERIC, n - n % 2)),
+    "trapezoid": (
+        2,
+        lambda n: dissect_trapezoid(F(1, 10) if n == 2 else F(11, 20), Q_GENERIC, n - n % 2),
+    ),
+}
+
+
+def _make(name, n):
+    return CONSTRUCTIONS[name][1](n)
+
+
+def _reference_cases():
+    """(name, plan, tol, expected) over the constructions, the tampered
+    plans, float coordinates and the coprime-denominator plan."""
+    for name, (smallest, make) in CONSTRUCTIONS.items():
+        expected = Q_GENERIC if name == "trapezoid" else None
+        tol = 1e-9 if name == "even_general" else 0
+        for n in sorted({smallest, 51}):
+            yield f"{name}-{n}", make(n), tol, expected
+    for kind in ("overlap", "wrong_class", "outside"):
+        for name in ("odd", "fan_T", "trapezoid"):
+            expected = Q_GENERIC if name == "trapezoid" else None
+            yield f"{kind}-{name}", _tamper(_make(name, 9), kind), 0, expected
+    for name in ("por5", "even_general"):
+        yield f"gc_flag-{name}", _tamper(_make(name, 6), "gc_flag"), 1e-9, None
+    for tol in (1e-9, 0):
+        for name in ("odd", "fan_T"):
+            yield f"floats-{name}-{tol}", _floats(_make(name, 9)), tol, None
+        yield f"floats-overlap-{tol}", _floats(_tamper(_make("odd", 7), "overlap")), tol, None
+    coprime = _coprime_plan()
+    for tol in (0, 1e-9, F(1, 10**6)):
+        yield f"coprime-{tol}", coprime, tol, None
+
+
+@pytest.mark.parametrize(
+    "plan, tol, expected",
+    [pytest.param(*case[1:], id=case[0]) for case in _reference_cases()],
+)
+def test_verify_matches_reference(plan, tol, expected):
+    got = report_to_doc(verify_plan(plan, tol, expected=expected))
+    assert got == report_to_doc(_reference_verify(plan, tol, expected))
+
+
+def test_containment_slack_is_compared_exactly():
+    # A vertex pushed out of the unit square by just more, or just less,
+    # than the slack of tol 1e-9: the doubled slack is the exact value of
+    # the float 2e-9, and the pushes lie less than one lattice unit apart.
+    square = LabeledQuad(Parallelogram(), *UNIT)
+    base = dataclasses.replace(dissect_por5(Q_GENERIC), root=square, gc=False)
+    m = math.floor(1 / F(2 * 1e-9))
+    for push, outside in ((F(1, m), True), (F(1, m + 1), False)):
+        tile = dataclasses.replace(square, b=(1 + push, F(0)))
+        plan = dataclasses.replace(base, tiles=(tile,))
+        report = verify_plan(plan, 1e-9)
+        assert bool(report.outside_vertices) == outside
+        assert report_to_doc(report) == report_to_doc(_reference_verify(plan, 1e-9))
+
+
+EXACT_PLANS = (
+    dissect_odd(Q_GENERIC, 7),
+    dissect_trapezoid_selfaffine(Trapezoid(F(1, 3)), 4),
+    _tamper(dissect_odd(Q_GENERIC, 5), "overlap"),
+    _tamper(dissect_odd(Q_GENERIC, 5), "wrong_class"),
+    _tamper(dissect_trapezoid_selfaffine(Parallelogram(), 3), "outside"),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(EXACT_PLANS),
+    st.fractions(min_value=F(1, 30), max_value=30, max_denominator=30),
+    offset,
+    offset,
+)
+def test_verify_scales_with_the_plan(plan, s, dx, dy):
+    moved = _map_plan(plan, lambda p: (s * p[0] + dx, s * p[1] + dy))
+    before, after = verify_plan(plan, 0), verify_plan(moved, 0)
+    assert after.ok == before.ok
+    assert [r.got for r in after.tile_results] == [r.got for r in before.tile_results]
+    assert after.area_deficit == s * s * before.area_deficit
+    assert after.max_overlap_area == s * s * before.max_overlap_area
