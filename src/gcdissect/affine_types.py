@@ -223,10 +223,6 @@ class LabeledQuad:
     def points(self) -> Quad:
         return (self.a, self.b, self.c, self.d)
 
-    def side(self, i: int) -> tuple[Point, Point]:
-        pts = self.points
-        return pts[i], pts[(i + 1) % 4]
-
     @property
     def is_ccw(self) -> bool:
         return cross(vsub(self.b, self.a), vsub(self.c, self.b)) > 0

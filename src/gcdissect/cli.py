@@ -54,8 +54,7 @@ from .treesearch import (
     ExtTree,
     Leaf,
     Node,
-    enumerate_trees,
-    quotient_exponents,
+    reachable_exponents,
     search_self_affine,
 )
 from .verifier import VerificationReport, verify_plan
@@ -585,10 +584,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_parity(args) -> int:
-    exponents: set[int] = set()
-    for t in enumerate_trees(args.n):
-        exponents |= quotient_exponents(t)
-    _emit({"n": args.n, "exponents": sorted(exponents)})
+    _emit({"n": args.n, "exponents": sorted(reachable_exponents(args.n))})
     return 0
 
 

@@ -171,10 +171,6 @@ class QCurve:
     def at(self, beta: Scalar) -> GenericQuad:
         return GenericQuad(self.quotient * beta, beta)
 
-    def flipped(self) -> "QCurve":
-        """Image of the member set under flip: same quotient, mapped betas."""
-        return QCurve(self.quotient, Interval(*_flip_betas(self.quotient, self.betas)))
-
 
 class Piece(NamedTuple):
     """One operand of the table: a kind, its edge flag and its span.

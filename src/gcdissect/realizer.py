@@ -286,6 +286,12 @@ def _chain_tree(pairs: int, flagged: bool) -> ExtTree:
     return t
 
 
+def _fill_tree(pairs: int, flagged: bool) -> Node:
+    """pairs colon-pairs filling a trapezoid: a chain of pairs - 1 with the
+    last pair mirror-placed beside it."""
+    return Node(Op.DOT, _pair_tree(flagged), True, _chain_tree(pairs - 1, flagged), True)
+
+
 def _trapezoid_branch(cls: GenericQuad) -> tuple[bool, Scalar, Scalar]:
     """(use mirror copies, pair ratio, admissible lower bound)."""
     f = flip_factor(cls)
@@ -324,9 +330,7 @@ def dissect_trapezoid(gamma: Scalar, cls: GenericQuad, k: int) -> DissectionPlan
         raise UnrealizableError(
             f"ratio {gamma} lies below the admissible bound {bound} for {cls}"
         )
-    m = k // 2
-    tree = Node(Op.DOT, _pair_tree(flagged), True, _chain_tree(m - 1, flagged), True)
-    return realize_tree(tree, cls, root=Trapezoid(gamma))
+    return realize_tree(_fill_tree(k // 2, flagged), cls, root=Trapezoid(gamma))
 
 
 def _odd_kite_ratio(cls: GenericQuad) -> Scalar:
@@ -363,19 +367,13 @@ def dissect_odd(cls: GenericQuad, n: int) -> DissectionPlan:
         base = cls.alpha * cls.beta
         assert gamma >= base, "kite complement ratio fell below the pair ratio"
         head = Node(Op.DOT, LEAF, False, _pair_tree(False), False)
-        m = (n - 3) // 2
-        chain = Node(
-            Op.DOT, _pair_tree(False), True, _chain_tree(m - 1, False), True
-        )
-        tree = Node(Op.DOT, head, True, chain, False)
+        tree = Node(Op.DOT, head, True, _fill_tree((n - 3) // 2, False), False)
         return realize_tree(tree, cls, root=cls)
     rep = cls if flip_factor(cls) < 1 else flip(cls)
     f_rep = flip_factor(rep)
     flagged, _, bound = _trapezoid_branch(rep)
     assert f_rep >= bound, "complement ratio fell below the admissible bound"
-    m = (n - 1) // 2
-    chain = Node(Op.DOT, _pair_tree(flagged), True, _chain_tree(m - 1, flagged), True)
-    tree = Node(Op.DOT, LEAF, False, chain, False)
+    tree = Node(Op.DOT, LEAF, False, _fill_tree((n - 1) // 2, flagged), False)
     return realize_tree(tree, rep, root=flip(rep))
 
 
@@ -550,11 +548,7 @@ def dissect_even_general(cls: GenericQuad, n: int) -> DissectionPlan:
     else:
         flagged, _, bound = _trapezoid_branch(ecls)
         assert mu0 >= bound
-        m = (n - 4) // 2
-        chain = Node(
-            Op.DOT, _pair_tree(flagged), True, _chain_tree(m - 1, flagged), True
-        )
-        state = _realize_into(chain, ecls, trap2, pinned=(), tol=0)
+        state = _realize_into(_fill_tree((n - 4) // 2, flagged), ecls, trap2, pinned=(), tol=0)
         pieces += state.tiles
 
     scale = 1 / (nu0 * k)

@@ -21,6 +21,11 @@ handful of signatures.  So a skeleton of one set per signature is glued
 first, and a pair of sets is glued only when its signatures can reach a
 level-n root passing composition.may_hold.  Hits and their order do not change.
 
+Parity shares the skeleton's level pass, keyed by symbolic token sets
+(subsets of {Q^k, T, P}) instead of signatures.  enumerate_trees,
+quotient_exponents and count_trees are the per-tree references the level
+passes are tested against.
+
 Canonical form quotients only by commutativity of the glueing operations:
 children of a node are ordered by (leaf count, serialized key, flag).  Flags
 are enumerated on every edge, including edges to leaves; a flag on a leaf
@@ -37,6 +42,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, flip
@@ -121,13 +127,9 @@ def _check_size(n: int) -> None:
         raise ValueError("need n >= 1")
     cap = search_cap()
     if n > cap:
-        # count_trees takes O(n^2) big-integer products (11 s at 2,000 leaves).
-        # Past 200, give a lower bound: a leaf beside any (k-1)-leaf tree, two
-        # ops and a flag per child make each level at least 8 times the last.
-        trees = count_trees(n) if n <= 200 else f"more than 6 * 8^{n - 2}"
         raise SearchCapError(
             f"a search over {n}-leaf trees exceeds the cap of {cap} "
-            f"({trees} canonical trees; set {CAP_ENV_VAR} higher to allow)"
+            f"(set {CAP_ENV_VAR} higher to allow)"
         )
 
 
@@ -152,8 +154,7 @@ def count_trees(n: int) -> int:
 def enumerate_trees(n: int) -> Iterator[ExtTree]:
     """All canonical trees with n leaves, in a fixed deterministic order.
 
-    Refuses n above the enumeration cap (GCDISSECT_SEARCH_CAP, default 8)
-    with the would-be tree count in the message.
+    Refuses n above the enumeration cap (GCDISSECT_SEARCH_CAP, default 8).
     """
     _check_size(n)
     levels: list[tuple[ExtTree, ...]] = [(), (LEAF,)]
@@ -236,7 +237,18 @@ def quotient_exponents(t: ExtTree) -> frozenset[int]:
     Trapezoid and parallelogram members have quotient 1 = q^0 and are
     reported as exponent 0.
     """
-    toks = _sym_eval(t)
+    return _exponents(_sym_eval(t))
+
+
+def reachable_exponents(n: int) -> frozenset[int]:
+    """Union of quotient_exponents over every canonical n-leaf tree, read off
+    the level pass over distinct token sets; refuses n above the search cap."""
+    _check_size(n)
+    ids, _ = _level_pass(_LEAF_TOKENS, n, lambda toks: toks, _sym_glue_sets)
+    return _exponents(frozenset().union(*ids[n]))
+
+
+def _exponents(toks: frozenset[tuple]) -> frozenset[int]:
     out = {k for kind, *rest in toks if kind == "Q" for k in rest}
     if _T_TOKEN in toks or _P_TOKEN in toks:
         out.add(0)
@@ -244,24 +256,18 @@ def quotient_exponents(t: ExtTree) -> frozenset[int]:
 
 
 _LEAF_TOKENS = frozenset({("Q", 1)})
-# Symbolic sets depend only on tree shape, so one global cache is safe.
-_SYM_CACHE: dict[str, frozenset[tuple]] = {}
 
 
 def _sym_eval(t: ExtTree) -> frozenset[tuple]:
     if isinstance(t, Leaf):
         return _LEAF_TOKENS
-    got = _SYM_CACHE.get(t.key)
-    if got is None:
-        left = _sym_eval(t.left)
-        right = _sym_eval(t.right)
-        out: set[tuple] = set()
-        for x in left:
-            for y in right:
-                out.update(_sym_glue(x, t.left_flip, y, t.right_flip, t.op))
-        got = frozenset(out)
-        _SYM_CACHE[t.key] = got
-    return got
+    return _sym_glue_sets(_sym_eval(t.left), t.left_flip, _sym_eval(t.right), t.right_flip, t.op)
+
+
+def _sym_glue_sets(
+    xs: frozenset[tuple], fx: bool, ys: frozenset[tuple], fy: bool, op: Op
+) -> frozenset[tuple]:
+    return frozenset(tok for x in xs for y in ys for tok in _sym_glue(x, fx, y, fy, op))
 
 
 def _sym_glue(
@@ -390,23 +396,30 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     return hits
 
 
-def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list, list]:
-    """search_self_affine's skeleton and backward passes: per level k, ids[k]
-    (signature -> (id, representative set)), moves[k] ((k1, id1, f1, id2, f2,
-    op) -> glued id) and marked[k] (the moves on a path to a level-n
-    signature passing may_hold)."""
+def _level_pass(seed, n: int, key, glue) -> tuple[list, list]:
+    """Per level k, ids[k] (key -> (id, first value with that key)) and moves[k]
+    ((k1, id1, f1, id2, f2, op) -> glued id) over every ordered pair of flagged
+    values of levels k1 and k - k1; falsy glue results are dropped."""
     ids = [{} for _ in range(n + 1)]
     moves = [{} for _ in range(n + 1)]
-    ids[1][singleton(leaf).signature] = (0, singleton(leaf))
+    ids[1][key(seed)] = (0, seed)
     for k in range(2, n + 1):
         for op, k1 in _splits(k):
             for (i1, r1), f1, (i2, r2), f2 in itertools.product(
                 ids[k1].values(), (False, True), ids[k - k1].values(), (False, True)
             ):
-                root = compose_sets(r1, f1, r2, f2, op)
+                root = glue(r1, f1, r2, f2, op)
                 if root:
-                    j, _ = ids[k].setdefault(root.signature, (len(ids[k]), root))
+                    j, _ = ids[k].setdefault(key(root), (len(ids[k]), root))
                     moves[k][(k1, i1, f1, i2, f2, op)] = j
+    return ids, moves
+
+
+def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list, list]:
+    """search_self_affine's skeleton and backward passes: ids and moves of the
+    level pass keyed by signature, and marked[k], the moves on a path to a
+    level-n signature passing may_hold."""
+    ids, moves = _level_pass(singleton(leaf), n, attrgetter("signature"), compose_sets)
     live = [set() for _ in range(n + 1)]
     live[n] = {j for sig, (j, _) in ids[n].items() if any(may_hold(sig, t, tol) for t in targets)}
     marked = [set() for _ in range(n + 1)]

@@ -205,6 +205,9 @@ def test_cli_parity(capsys):
     assert code == 0
     assert doc["exponents"] == sorted(doc["exponents"])
     assert all(e % 2 == 1 for e in doc["exponents"])
+    code, doc = _run(capsys, "parity", "--n", "8")
+    assert code == 0
+    assert doc == {"n": 8, "exponents": [0, 2, 4, 6, 8]}
 
 
 def test_cli_family(capsys):

@@ -1,4 +1,5 @@
-"""Module boundaries: no source module imports another module's private names."""
+"""Module boundaries: no source module imports another module's private names,
+and none uses the per-tree reference path."""
 
 from __future__ import annotations
 
@@ -18,4 +19,18 @@ def test_no_private_imports_across_modules():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert not offenders, "\n".join(offenders)
+
+
+# Test references only: the product answers level by level over distinct sets.
+PER_TREE = {"enumerate_trees", "quotient_exponents"}
+
+
+def test_no_source_module_uses_the_per_tree_path():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in PER_TREE:
+                offenders.append(f"{path.name}:{node.lineno} uses {name}")
     assert not offenders, "\n".join(offenders)

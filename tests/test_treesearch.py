@@ -25,6 +25,7 @@ from gcdissect import (
     flip,
     member,
     quotient_exponents,
+    reachable_exponents,
     search_self_affine,
 )
 from gcdissect import treesearch
@@ -81,6 +82,8 @@ def test_cap_refusal(monkeypatch):
     monkeypatch.setenv("GCDISSECT_SEARCH_CAP", "3")
     with pytest.raises(SearchCapError):
         list(enumerate_trees(4))
+    with pytest.raises(SearchCapError):
+        reachable_exponents(4)
     monkeypatch.setenv("GCDISSECT_SEARCH_CAP", "nope")
     with pytest.raises(SearchCapError):
         list(enumerate_trees(2))
@@ -129,6 +132,18 @@ def test_quotient_exponents_fixed():
     assert quotient_exponents(t) == {1}
     for t2 in enumerate_trees(2):
         assert quotient_exponents(t2) <= {0, 2}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reachable_exponents_match_every_tree(n):
+    assert reachable_exponents(n) == frozenset().union(
+        *(quotient_exponents(t) for t in enumerate_trees(n))
+    )
+
+
+def test_reachable_exponents_past_enumeration():
+    assert reachable_exponents(7) == {1, 3, 5, 7}
+    assert reachable_exponents(8) == {0, 2, 4, 6, 8}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
