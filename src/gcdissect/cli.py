@@ -3,11 +3,16 @@
 Plan documents are versioned JSON.  All rational numbers cross the
 boundary as "p/q" strings and floats as {"dec": repr} so parsing gives
 back the same scalars byte for byte; a class built from floats carries an
-explicit "tol".  The SVG renderer is deterministic: the same plan always
-produces the same bytes.
+explicit "tol".  The flags gc, leaf, flipL and flipR are JSON booleans,
+and no boolean is read as a number.  The SVG renderer is deterministic:
+the same plan always produces the same bytes.
 
-Exit codes: 0 on success, 1 on a refusal (impossible dissection, failed
-verification) with {"error": ...} on stdout, 2 on usage errors.
+Every subcommand returns (exit code, document) and main prints that one
+document as JSON on stdout; with --out, dissect and selfaffine write the
+plan to the file and print {"written": path}.  Exit codes: 0 on success,
+1 on a refusal (impossible dissection, failed verification, float input
+to the general constructions) with {"error": ...}, 2 on usage, file and
+plan-format errors.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .affine_types import (
     flip,
 )
 from .composition import ClassSet, ClassTerm, Interval, Op, combine
-from .errors import GcError, PlanFormatError
+from .errors import GcError, PlanFormatError, UnrealizableError
 from .families import FamilyId, family_beta
 from .realizer import (
     Construction,
@@ -111,12 +116,12 @@ def class_from_doc(doc: object) -> AffineClass:
 
 
 def _tol_from_doc(value: object) -> float:
-    """A declared tolerance: a finite number >= 0."""
+    """A declared tolerance: a finite number >= 0, not a boolean."""
     try:
         tol = float(value)
     except (TypeError, ValueError) as exc:
         raise PlanFormatError(f"bad tolerance: {value!r}") from exc
-    if not (math.isfinite(tol) and tol >= 0):
+    if isinstance(value, bool) or not (math.isfinite(tol) and tol >= 0):
         raise PlanFormatError(f"bad tolerance: {value!r}")
     return tol
 
@@ -125,6 +130,14 @@ def _list_from_doc(doc: dict, field: str) -> list:
     value = doc.get(field, [])
     if not isinstance(value, list):
         raise PlanFormatError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _bool_from_doc(doc: dict, field: str) -> bool:
+    """An optional JSON boolean field; absent reads as False."""
+    value = doc.get(field, False)
+    if not isinstance(value, bool):
+        raise PlanFormatError(f"{field} must be true or false, got {value!r}")
     return value
 
 
@@ -173,7 +186,7 @@ def tree_to_doc(t: Union[ExtTree, Construction]) -> dict:
 def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
     if not isinstance(doc, dict):
         raise PlanFormatError(f"bad tree node: {doc!r}")
-    if doc.get("leaf"):
+    if _bool_from_doc(doc, "leaf"):
         return LEAF
     if "construction" in doc:
         params = doc.get("params", {})
@@ -181,7 +194,7 @@ def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
             raise PlanFormatError(f"bad construction params: {params!r}")
         try:
             items = tuple(
-                (k, v if isinstance(v, int) else scalar_from_json(v))
+                (k, v if type(v) is int else scalar_from_json(v))
                 for k, v in params.items()
             )
         except ValueError as exc:
@@ -192,9 +205,9 @@ def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
     return Node(
         Op.DOT if doc["op"] == "dot" else Op.COLON,
         tree_from_doc(doc["left"]),
-        bool(doc.get("flipL")),
+        _bool_from_doc(doc, "flipL"),
         tree_from_doc(doc["right"]),
-        bool(doc.get("flipR")),
+        _bool_from_doc(doc, "flipR"),
     )
 
 
@@ -264,9 +277,9 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
         if not isinstance(cdoc, dict):
             raise PlanFormatError(f"bad cut {i}: {cdoc!r}")
         try:
-            sides = int(cdoc["start_side"]), int(cdoc["end_side"])
-            if not all(0 <= side < 4 for side in sides):
-                raise ValueError(f"side indices {sides} not in 0..3")
+            sides = cdoc["start_side"], cdoc["end_side"]
+            if not all(type(side) is int and 0 <= side < 4 for side in sides):
+                raise ValueError(f"side indices {sides} are not integers in 0..3")
             cuts.append(
                 CutRecord(
                     _points_from_doc(cdoc["parent"], f"cut {i} parent"),
@@ -275,7 +288,7 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
                     *sides,
                 )
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise PlanFormatError(f"bad cut {i}: {cdoc!r}") from exc
     try:
         pinned = tuple(scalar_from_json(x) for x in _list_from_doc(doc, "pinned"))
@@ -286,14 +299,18 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
         tiles=tuple(tiles),
         tree=tree_from_doc(doc["tree"]),
         pinned=pinned,
-        gc=bool(doc["gc"]),
+        gc=_bool_from_doc(doc, "gc"),
         cuts=tuple(cuts),
     )
     return plan, cls, tol
 
 
+def _dumps(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dumps_plan(plan: DissectionPlan, cls: AffineClass, tol: float = 0.0) -> str:
-    return json.dumps(plan_to_doc(plan, cls, tol), indent=2, sort_keys=True) + "\n"
+    return _dumps(plan_to_doc(plan, cls, tol))
 
 
 def loads_plan(text: str) -> tuple[DissectionPlan, AffineClass, float]:
@@ -526,78 +543,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: object) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(_dumps(doc))
 
 
-def _write_plan(
-    plan: DissectionPlan,
-    cls: AffineClass,
-    out: Union[str, None],
-    tol: float = 0.0,
-) -> None:
-    text = dumps_plan(plan, cls, tol)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, object]:
     result = classify_quadrangle(args.points, tol=args.tol)
-    _emit(
-        {
-            "class": class_to_doc(result.cls),
-            "labeling": list(result.labeling),
-        }
-    )
-    return 0
+    return 0, {"class": class_to_doc(result.cls), "labeling": list(result.labeling)}
 
 
-def _cmd_flip(args) -> int:
-    try:
-        flipped = flip(args.cls)
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return 1
-    _emit({"class": class_to_doc(flipped)})
-    return 0
+def _cmd_flip(args) -> tuple[int, object]:
+    return 0, {"class": class_to_doc(flip(args.cls))}
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple[int, object]:
     left = ClassTerm(args.left, args.flip_left)
     right = ClassTerm(args.right, args.flip_right)
     op = Op.DOT if args.op == "dot" else Op.COLON
-    _emit(class_set_to_doc(combine(left, right, op)))
-    return 0
+    return 0, class_set_to_doc(combine(left, right, op))
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[int, object]:
     hits = search_self_affine(args.cls, args.n, tol=args.tol)
-    _emit(
-        [
-            {"tree": tree_to_doc(h.tree), "witness": class_to_doc(h.witness)}
-            for h in hits
-        ]
-    )
-    return 0
+    return 0, [
+        {"tree": tree_to_doc(h.tree), "witness": class_to_doc(h.witness)}
+        for h in hits
+    ]
 
 
-def _cmd_parity(args) -> int:
-    _emit({"n": args.n, "exponents": sorted(reachable_exponents(args.n))})
-    return 0
+def _cmd_parity(args) -> tuple[int, object]:
+    return 0, {"n": args.n, "exponents": sorted(reachable_exponents(args.n))}
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[int, object]:
     beta = family_beta(FamilyId[args.id], args.alpha)
-    _emit(
-        {
-            "id": args.id,
-            "alpha": scalar_to_json(args.alpha),
-            "beta": scalar_to_json(beta),
-        }
-    )
-    return 0
+    return 0, {
+        "id": args.id,
+        "alpha": scalar_to_json(args.alpha),
+        "beta": scalar_to_json(beta),
+    }
 
 
 def _check_tile_count(n: int) -> None:
@@ -607,7 +590,7 @@ def _check_tile_count(n: int) -> None:
         raise ValueError(f"at most MAX_TILES = {MAX_TILES} tiles, got {n}")
 
 
-def _cmd_dissect(args) -> int:
+def _cmd_dissect(args) -> tuple[int, object]:
     cls, n = args.cls, args.n
     _check_tile_count(n)
     if isinstance(cls, (Trapezoid, Parallelogram)):
@@ -618,62 +601,48 @@ def _cmd_dissect(args) -> int:
         tol = args.tol if args.tol is not None else 0.0
         hits = search_self_affine(cls, n, tol=tol)
         if not hits:
-            _emit(
-                {
-                    "error": f"no glass-cut dissection of {_class_text(cls)} "
-                    f"into {n} copies of itself"
-                }
+            raise UnrealizableError(
+                f"no glass-cut dissection of {_class_text(cls)} "
+                f"into {n} copies of itself"
             )
-            return 1
         hit = hits[0]
         plan = realize_tree(
             hit.tree, cls, root=hit.witness, tol=tol if tol else None
         )
-    _write_plan(plan, cls, args.out)
-    return 0
+    return 0, plan_to_doc(plan, cls)
 
 
-def _cmd_selfaffine(args) -> int:
+def _cmd_selfaffine(args) -> tuple[int, object]:
     cls, n = args.cls, args.n
     _check_tile_count(n)
     if isinstance(cls, (Trapezoid, Parallelogram)):
-        plan = dissect_trapezoid_selfaffine(cls, n)
-    elif n == 5:
-        plan = dissect_por5(cls)
-    elif n >= 6 and n % 2 == 0:
+        return 0, plan_to_doc(dissect_trapezoid_selfaffine(cls, n), cls)
+    if n == 5:
+        return 0, plan_to_doc(dissect_por5(cls), cls)
+    if n >= 6 and n % 2 == 0:
         # The steering parameter is bisected, so the plan is approximate
         # even over rational inputs.
-        plan = dissect_even_general(cls, n)
-        _write_plan(plan, cls, args.out, tol=DEFAULT_FLOAT_TOL)
-        return 0
-    else:
-        _emit(
-            {
-                "error": f"the general constructions cover n = 5 and even "
-                f"n >= 6; for other counts try the dissect command"
-            }
-        )
-        return 1
-    _write_plan(plan, cls, args.out)
-    return 0
+        return 0, plan_to_doc(dissect_even_general(cls, n), cls, DEFAULT_FLOAT_TOL)
+    raise UnrealizableError(
+        "the general constructions cover n = 5 and even "
+        "n >= 6; for other counts try the dissect command"
+    )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, object]:
     with open(args.plan, encoding="utf-8") as fh:
         plan, cls, doc_tol = loads_plan(fh.read())
     tol = args.tol if args.tol is not None else doc_tol
     report = verify_plan(plan, tol, expected=cls)
-    _emit(report_to_doc(report))
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), report_to_doc(report)
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[int, object]:
     with open(args.plan, encoding="utf-8") as fh:
         plan, _, _ = loads_plan(fh.read())
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(render_svg(plan))
-    _emit({"written": args.svg})
-    return 0
+    return 0, {"written": args.svg}
 
 
 def _class_text(cls: AffineClass) -> str:
@@ -699,21 +668,24 @@ _COMMANDS = {
 
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
+    """Run one command and print its one JSON document; return the exit code.
+
+    dissect and selfaffine with --out write the plan there and print
+    {"written": path}.
+    """
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except PlanFormatError as exc:
-        _emit({"error": str(exc)})
-        return 2
-    except OSError as exc:
-        _emit({"error": str(exc)})
-        return 2
-    except GcError as exc:
-        _emit({"error": str(exc)})
-        return 1
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return 1
+        code, doc = _COMMANDS[args.command](args)
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(_dumps(doc))
+            doc = {"written": args.out}
+    except (PlanFormatError, OSError) as exc:
+        code, doc = 2, {"error": str(exc)}
+    except (GcError, ValueError) as exc:
+        code, doc = 1, {"error": str(exc)}
+    _emit(doc)
+    return code
 
 
 if __name__ == "__main__":

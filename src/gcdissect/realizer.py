@@ -2,12 +2,14 @@
 
 A realized dissection is a DissectionPlan: a root quadrangle with labeled
 vertices, the tiles that cover it, and the cut segments that produced them.
-realize_tree walks a cut tree top down; at every node the glueing table's
-inverse (composition.decompose) picks concrete operand classes and the
-row's cut geometry (composition.cut_quad) places them, one tile per leaf.
+realize_tree walks a cut tree top down, in pre-order on an explicit stack;
+at every node the glueing table's inverse (composition.decompose) picks
+concrete operand classes and the row's cut geometry (composition.cut_quad)
+places them, one tile per leaf.
 The dissect_* functions package the known recipes (pair chains for
 trapezoids, odd tile counts, fans, and the two recipes that give up the
-opposite-side cut discipline) as plans.
+opposite-side cut discipline) as plans; the last two need exact p/q
+parameters.
 
 All geometry is affine.  Exact inputs stay exact: every cut point is a
 rational combination of the parent's vertices.
@@ -159,44 +161,6 @@ def realize_cut(
 # whole-tree realization
 
 
-class _TreeRealizer:
-    def __init__(
-        self,
-        leaf: AffineClass,
-        cache: dict[str, ClassSet],
-        pinned: Iterable[Scalar],
-        tol: Scalar,
-    ) -> None:
-        self.leaf = leaf
-        self.cache = cache
-        self.pinned = deque(pinned)
-        self.used: list[Scalar] = []
-        self.tol = tol
-        self.tiles: list[LabeledQuad] = []
-        self.cuts: list[CutRecord] = []
-
-    def take_lam(self) -> Scalar:
-        lam = self.pinned.popleft() if self.pinned else Fraction(1)
-        self.used.append(lam)
-        return lam
-
-    def walk(self, t: ExtTree, quad: LabeledQuad) -> None:
-        if isinstance(t, Leaf):
-            self.tiles.append(_ccw(quad))
-            return
-        set_l = evaluate(t.left, self.leaf, self.cache)
-        set_r = evaluate(t.right, self.leaf, self.cache)
-        cls_l, cls_r = decompose(
-            set_l, t.left_flip, set_r, t.right_flip, t.op, quad.cls, self.tol
-        )
-        child_l, child_r, cut = cut_quad(
-            quad, t.op, cls_l, t.left_flip, cls_r, t.right_flip, self.take_lam
-        )
-        self.cuts.append(cut)
-        self.walk(t.left, child_l)
-        self.walk(t.right, child_r)
-
-
 def _realize_into(
     t: ExtTree,
     leaf: AffineClass,
@@ -204,16 +168,43 @@ def _realize_into(
     pinned: Iterable[Scalar],
     tol: Scalar,
     cache: Union[dict[str, ClassSet], None] = None,
-) -> _TreeRealizer:
+) -> tuple[list[LabeledQuad], list[CutRecord], list[Scalar]]:
+    """(tiles, cuts, ratios used) of t realized inside root_quad.
+
+    The walk is pre-order, left before right, with an explicit stack, and
+    the free-ratio cuts take the pinned values in that order.
+    """
     cache = {} if cache is None else cache
-    root_set = evaluate(t, leaf, cache)
-    if not member(root_set, root_quad.cls, tol):
+    if not member(evaluate(t, leaf, cache), root_quad.cls, tol):
         raise UnrealizableError(
             f"tree cannot produce {root_quad.cls} from copies of {leaf}"
         )
-    state = _TreeRealizer(leaf, cache, pinned, tol)
-    state.walk(t, root_quad)
-    return state
+    queue = deque(pinned)
+    tiles: list[LabeledQuad] = []
+    cuts: list[CutRecord] = []
+    used: list[Scalar] = []
+
+    def take_lam() -> Scalar:
+        used.append(queue.popleft() if queue else Fraction(1))
+        return used[-1]
+
+    stack: list[tuple[ExtTree, LabeledQuad]] = [(t, root_quad)]
+    while stack:
+        node, quad = stack.pop()
+        if isinstance(node, Leaf):
+            tiles.append(_ccw(quad))
+            continue
+        set_l = evaluate(node.left, leaf, cache)
+        set_r = evaluate(node.right, leaf, cache)
+        cls_l, cls_r = decompose(
+            set_l, node.left_flip, set_r, node.right_flip, node.op, quad.cls, tol
+        )
+        child_l, child_r, cut = cut_quad(
+            quad, node.op, cls_l, node.left_flip, cls_r, node.right_flip, take_lam
+        )
+        cuts.append(cut)
+        stack += [(node.right, child_r), (node.left, child_l)]
+    return tiles, cuts, used
 
 
 def _auto_tol(*classes: AffineClass) -> Scalar:
@@ -259,14 +250,14 @@ def realize_tree(
                     f"tree cannot reproduce {leaf} or its flip at the root"
                 )
     root_quad = standard_placement(root)
-    state = _realize_into(t, leaf, root_quad, pinned, tol, cache)
+    tiles, cuts, used = _realize_into(t, leaf, root_quad, pinned, tol, cache)
     return DissectionPlan(
         root=root_quad,
-        tiles=tuple(state.tiles),
+        tiles=tuple(tiles),
         tree=t,
-        pinned=tuple(state.used),
+        pinned=tuple(used),
         gc=True,
-        cuts=tuple(state.cuts),
+        cuts=tuple(cuts),
     )
 
 
@@ -292,15 +283,13 @@ def _fill_tree(pairs: int, flagged: bool) -> Node:
     return Node(Op.DOT, _pair_tree(flagged), True, _chain_tree(pairs - 1, flagged), True)
 
 
-def _trapezoid_branch(cls: GenericQuad) -> tuple[bool, Scalar, Scalar]:
-    """(use mirror copies, pair ratio, admissible lower bound)."""
+def _trapezoid_branch(cls: GenericQuad) -> tuple[bool, Scalar]:
+    """(use mirror copies, admissible lower bound)."""
     f = flip_factor(cls)
     base = cls.alpha * cls.beta
     flagged = f < 1
-    other = flip(cls)
-    g = other.alpha * other.beta if flagged else base
     bound = base * min(f, 1)
-    return flagged, g, bound
+    return flagged, bound
 
 
 def dissect_trapezoid(gamma: Scalar, cls: GenericQuad, k: int) -> DissectionPlan:
@@ -325,7 +314,7 @@ def dissect_trapezoid(gamma: Scalar, cls: GenericQuad, k: int) -> DissectionPlan
             )
         tree: ExtTree = _pair_tree(False)
         return realize_tree(tree, cls, root=Trapezoid(gamma))
-    flagged, _, bound = _trapezoid_branch(cls)
+    flagged, bound = _trapezoid_branch(cls)
     if gamma < bound:
         raise UnrealizableError(
             f"ratio {gamma} lies below the admissible bound {bound} for {cls}"
@@ -371,7 +360,7 @@ def dissect_odd(cls: GenericQuad, n: int) -> DissectionPlan:
         return realize_tree(tree, cls, root=cls)
     rep = cls if flip_factor(cls) < 1 else flip(cls)
     f_rep = flip_factor(rep)
-    flagged, _, bound = _trapezoid_branch(rep)
+    flagged, bound = _trapezoid_branch(rep)
     assert f_rep >= bound, "complement ratio fell below the admissible bound"
     tree = Node(Op.DOT, LEAF, False, _fill_tree((n - 1) // 2, flagged), False)
     return realize_tree(tree, rep, root=flip(rep))
@@ -398,22 +387,17 @@ def dissect_trapezoid_selfaffine(
 
 
 def _exact_generic(cls: GenericQuad) -> GenericQuad:
+    if not class_is_exact(cls):
+        raise ValueError(
+            f"the general constructions need exact p/q parameters, got {cls}"
+        )
     return GenericQuad(exactify(cls.alpha), exactify(cls.beta))
 
 
-def _forced_pair_split(
-    parent: LabeledQuad, piece: GenericQuad
-) -> tuple[LabeledQuad, LabeledQuad]:
-    """Colon split with the fractions of piece, without a class check.
-
-    Used where the parent's ratio differs from piece's pair ratio by a
-    bisection residual; the two children are then copies of piece up to
-    that residual.
-    """
-    child_l, child_r, _ = cut_quad(parent, Op.COLON, piece, False, piece, False)
-    return child_l, child_r
-
-
+# dissect_por5 and dissect_even_general split their filler trapezoids into
+# pairs by calling cut_quad directly, with no class check: in
+# dissect_even_general the filler's ratio differs from the pair ratio by a
+# bisection residual, and the two children are copies of the tile up to it.
 def dissect_por5(cls: GenericQuad) -> DissectionPlan:
     """Five copies via one shrunk copy and two split trapezoids.
 
@@ -433,8 +417,8 @@ def dissect_por5(cls: GenericQuad) -> DissectionPlan:
     shrunk = LabeledQuad(ecls, a, rb, rc, rd)
     trap1 = LabeledQuad(Trapezoid(r), b, rb, rc, c)
     trap2 = LabeledQuad(Trapezoid(r), c, rc, rd, d)
-    t1a, t1b = _forced_pair_split(trap1, ecls)
-    t2a, t2b = _forced_pair_split(trap2, ecls)
+    t1a, t1b, _ = cut_quad(trap1, Op.COLON, ecls, False, ecls, False)
+    t2a, t2b, _ = cut_quad(trap2, Op.COLON, ecls, False, ecls, False)
     tiles = tuple(_ccw(t) for t in (shrunk, t1a, t1b, t2a, t2b))
     return DissectionPlan(
         root=root,
@@ -540,16 +524,16 @@ def dissect_even_general(cls: GenericQuad, n: int) -> DissectionPlan:
     assert trap2_cl.cls == Trapezoid(mu0), "filler ratios disagree"
     trap2 = LabeledQuad(Trapezoid(mu0), *trap2_pts)
 
-    t1a, t1b = _forced_pair_split(trap1, ecls)
+    t1a, t1b, _ = cut_quad(trap1, Op.COLON, ecls, False, ecls, False)
     pieces: list[LabeledQuad] = [original, reversed_copy, t1a, t1b]
     if n == 6:
-        t2a, t2b = _forced_pair_split(trap2, ecls)
+        t2a, t2b, _ = cut_quad(trap2, Op.COLON, ecls, False, ecls, False)
         pieces += [t2a, t2b]
     else:
-        flagged, _, bound = _trapezoid_branch(ecls)
+        flagged, bound = _trapezoid_branch(ecls)
         assert mu0 >= bound
-        state = _realize_into(_fill_tree((n - 4) // 2, flagged), ecls, trap2, pinned=(), tol=0)
-        pieces += state.tiles
+        fill = _fill_tree((n - 4) // 2, flagged)
+        pieces += _realize_into(fill, ecls, trap2, pinned=(), tol=0)[0]
 
     scale = 1 / (nu0 * k)
     tiles = tuple(

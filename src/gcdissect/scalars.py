@@ -89,14 +89,14 @@ def scalar_to_json(x: Scalar) -> object:
 
 
 def scalar_from_json(obj: object) -> Scalar:
-    """Inverse of scalar_to_json; refuses malformed and non-finite values
-    with ValueError."""
+    """Inverse of scalar_to_json; refuses malformed and non-finite values,
+    and booleans, with ValueError."""
     try:
         if isinstance(obj, str):
             return Fraction(obj)
         if isinstance(obj, dict) and set(obj) >= {"dec"}:
             return _finite(float(obj["dec"]), obj)
-        if isinstance(obj, int):
+        if is_exact(obj):
             return Fraction(obj)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar encoding: {obj!r}") from exc

@@ -19,6 +19,7 @@ from gcdissect import (
     Trapezoid,
     dissect_even_general,
     dissect_odd,
+    dissect_por5,
     dissect_trapezoid_selfaffine,
 )
 from gcdissect.cli import (
@@ -122,6 +123,7 @@ def test_plan_doc_rejects_garbage():
         {"cuts": [dict(cut0, start_side=5, end_side=3)]},
         {"cuts": [dict(cut0, start_side=-1, end_side=1)]},
         {"cuts": [dict(cut0, start_side=float("inf"))]},
+        {"cuts": [dict(cut0, start_side=cut0["start_side"] + 0.5)]},
         {"tol": "nan"},
     ):
         with pytest.raises(PlanFormatError):
@@ -268,6 +270,25 @@ def test_cli_selfaffine_even(capsys, tmp_path):
     assert code == 1 and not doc["ok"]
 
 
+@pytest.mark.parametrize("command", ["dissect", "selfaffine"])
+def test_cli_out_prints_written(capsys, tmp_path, command):
+    argv = [command, "--class", "Q:1/5,1/2", "--n", "5"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "plan.json"
+    code, doc = _run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert doc == {"written": str(out)}
+    assert out.read_text() == text
+
+
+@pytest.mark.parametrize("n", ["5", "6"])
+def test_cli_selfaffine_float_class_exits_1(capsys, n):
+    code, doc = _run(capsys, "selfaffine", "--class", "Q:0.2,0.5", "--n", n)
+    assert code == 1
+    assert "exact p/q" in doc["error"]
+
+
 def test_cli_selfaffine_refuses_odd_beyond_five(capsys):
     code, doc = _run(capsys, "selfaffine", "--class", "Q:1/5,1/2", "--n", "7")
     assert code == 1
@@ -346,6 +367,45 @@ def test_cli_bad_numbers_exit_2_with_json(capsys, tmp_path):
                 main([*argv, "--tol", tol])
             assert exc.value.code == 2
             assert "error" in json.loads(capsys.readouterr().out)
+
+
+def _set_flip_left(doc):
+    doc["tree"]["flipL"] = 1
+
+
+def _set_first_coordinate(doc):
+    doc["root"][0][0] = False  # the coordinate is 0/1 already
+
+
+def _set_start_side(doc):
+    doc["cuts"][0]["start_side"] = False  # the side is 0 already
+
+
+@pytest.mark.parametrize(
+    "plan, change",
+    [
+        (dissect_por5(Q_GENERIC), lambda doc: doc.update(gc="false")),
+        (dissect_odd(Q_GENERIC, 5), lambda doc: doc.update(gc=1)),
+        (dissect_odd(Q_GENERIC, 5), _set_flip_left),
+        (dissect_odd(Q_GENERIC, 5), lambda doc: doc.update(tree={"leaf": "yes"})),
+        (dissect_odd(Q_GENERIC, 5), lambda doc: doc.update(pinned=[True])),
+        (dissect_odd(Q_GENERIC, 5), _set_first_coordinate),
+        (dissect_odd(Q_GENERIC, 5), lambda doc: doc.update(tol=True)),
+        (dissect_odd(Q_GENERIC, 5), _set_start_side),
+    ],
+    ids=[
+        "gc-string", "gc-int", "flip-int", "leaf-string", "pinned-bool",
+        "coordinate-bool", "tol-bool", "side-bool",
+    ],
+)
+def test_cli_plan_documents_keep_booleans_and_numbers_apart(capsys, tmp_path, plan, change):
+    # read by truthiness or int(), "false" would be true and true the number 1
+    doc = json.loads(dumps_plan(plan, Q_GENERIC))
+    change(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(capsys, "verify", "--plan", str(path))
+    assert code == 2 and "error" in out
 
 
 def test_cli_refuses_tile_counts_above_the_limit(capsys):
@@ -465,6 +525,7 @@ FUZZ_TOKENS = {
     ),
     "search": ("--class", "--n", "--tol"),
     "dissect": ("--class", "--n", "--tol"),
+    "selfaffine": ("--class", "--n"),
 }
 FUZZ_VALUES = (
     "Q:1/5,1/2", "Q:1/2,2/3", "Q:0.5,0.8284271247461903", "Q:1,2", "Q:1/2", "T:1/3",

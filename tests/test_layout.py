@@ -1,5 +1,5 @@
 """Module boundaries: no source module imports another module's private names,
-and none uses the per-tree reference path."""
+none uses the per-tree reference path, and the CLI prints from one place."""
 
 from __future__ import annotations
 
@@ -33,4 +33,21 @@ def test_no_source_module_uses_the_per_tree_path():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if name in PER_TREE:
                 offenders.append(f"{path.name}:{node.lineno} uses {name}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_cli_prints_from_main_and_the_parser_only():
+    # Commands return (exit code, document); main prints it once.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for top in tree.body:
+        if (isinstance(top, ast.FunctionDef) and top.name == "main") or (
+            isinstance(top, ast.ClassDef) and top.name == "_Parser"
+        ):
+            continue
+        offenders += [
+            f"cli.py:{node.lineno} calls _emit"
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
+        ]
     assert not offenders, "\n".join(offenders)

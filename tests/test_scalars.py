@@ -78,3 +78,11 @@ def test_json_rejects_garbage():
     for bad in ([1, 2], "1/0", {"dec": "nan"}, {"dec": "inf"}, {"dec": [1]}):
         with pytest.raises(ValueError):
             scalar_from_json(bad)
+
+
+def test_json_rejects_booleans():
+    # bool is an int subclass; Fraction(True) would read true as 1
+    for bad in (True, False):
+        with pytest.raises(ValueError):
+            scalar_from_json(bad)
+    assert scalar_from_json(1) == Fraction(1)
