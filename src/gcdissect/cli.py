@@ -189,6 +189,8 @@ def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
     if _bool_from_doc(doc, "leaf"):
         return LEAF
     if "construction" in doc:
+        if doc["construction"] not in ("por5", "even_general"):
+            raise PlanFormatError(f"unknown construction: {doc['construction']!r}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise PlanFormatError(f"bad construction params: {params!r}")

@@ -1,12 +1,11 @@
 """Independent checks that a dissection plan is what it claims to be.
 
-The verifier reads only coordinates.  It re-classifies every tile, sums
-areas, checks every tile vertex lies in the root, tests the tiles pairwise
-for overlap, and for glass-cut plans checks that there is one recorded cut
-per tile after the first and that each runs between relative interior
-points of opposite sides of its quad.  Exact inputs are checked exactly; a
-positive tolerance scales with the root's area for the area and containment
-checks and is passed through to classification.
+The verifier reads only coordinates and cut records.  It re-classifies
+every tile, sums areas, checks every tile vertex lies in the root, tests
+the tiles pairwise for overlap, and for glass-cut plans replays the cuts
+from the root.  Exact inputs are checked exactly; a positive tolerance
+scales with the root's area for the area and containment checks, with a
+side's length for cut endpoints, and is passed through to classification.
 
 Overlap is tested in three stages: a sweep over the tiles' bounding boxes,
 sorted by min-x, keeps the pairs whose boxes overlap with positive width and
@@ -14,19 +13,21 @@ height; a separating-axis test (Ericson, Real-Time Collision Detection, 5)
 drops every pair that an edge line of either tile separates, by signs of
 cross products and without division, counting tiles that only touch as
 separated (their overlap area is exactly 0); the rest are clipped with the
-Sutherland-Hodgman algorithm over the input scalars, so rational plans give
-rational intersection areas and a tolerance of zero is meaningful.  A tile
-that is not a strictly convex quad is clipped against every other tile.
+Sutherland-Hodgman algorithm, so rational plans give rational intersection
+areas and a tolerance of zero is meaningful.  A tile that is not a strictly
+convex quad is clipped against every other tile.
 
-Exact plans are checked on ints: root and tile coordinates are multiplied
-by the lcm of their denominators, which keeps every sign and multiplies
-every area by the same square; reported areas are divided back exactly.  A
-plan with a float coordinate keeps scale 1 and its own coordinates.
+Exact plans are checked on ints: root, tile and cut coordinates are
+multiplied by the lcm of their denominators, which keeps every sign and
+multiplies every area by the same square; reported areas are divided back
+exactly.  A plan with a float coordinate keeps scale 1 and its own
+coordinates.  Tiles are classified from their own points.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,6 +41,7 @@ from .affine_types import (
     classify_quadrangle,
     cross,
     dot,
+    lerp,
     on_lattice,
     vsub,
 )
@@ -75,24 +77,10 @@ def _clip_halfplane(subject: list[Point], a: Point, b: Point) -> list[Point]:
     prev_side = cross(edge, vsub(prev, a))
     for cur in subject:
         cur_side = cross(edge, vsub(cur, a))
+        if (cur_side >= 0) != (prev_side >= 0):  # the edge crosses the line
+            out.append(lerp(prev, cur, divide(prev_side, prev_side - cur_side)))
         if cur_side >= 0:
-            if prev_side < 0:
-                t = divide(prev_side, prev_side - cur_side)
-                out.append(
-                    (
-                        prev[0] + t * (cur[0] - prev[0]),
-                        prev[1] + t * (cur[1] - prev[1]),
-                    )
-                )
             out.append(cur)
-        elif prev_side >= 0:
-            t = divide(prev_side, prev_side - cur_side)
-            out.append(
-                (
-                    prev[0] + t * (cur[0] - prev[0]),
-                    prev[1] + t * (cur[1] - prev[1]),
-                )
-            )
         prev, prev_side = cur, cur_side
     return out
 
@@ -189,38 +177,44 @@ class VerificationReport:
     outside_vertices: tuple[str, ...] = ()
 
 
-def _interior_param(pt: Point, a: Point, b: Point, tol: Scalar) -> bool:
-    """Is pt strictly inside segment ab (up to tol, relative)."""
-    v = vsub(b, a)
-    w = vsub(pt, a)
-    vv = dot(v, v)
-    off = cross(v, w)
-    if tol:
-        if abs(off) > tol * vv:
-            return False
-        t = dot(w, v) / vv
-        return tol < t < 1 - tol
-    if off != 0:
-        return False
-    t = dot(w, v) / vv
-    return 0 < t < 1
+def _replay(
+    root: Polygon, tiles: Sequence[Polygon], cuts: Sequence[CutRecord], tol: Scalar
+) -> list[str]:
+    """Replay the cuts from the root; [] when they leave exactly the tiles.
 
-
-def _check_cut(cut: CutRecord, tol: Scalar) -> str | None:
-    if cut.end_side != (cut.start_side + 2) % 4:
-        return (
-            f"cut joins sides {cut.start_side} and {cut.end_side}, "
-            "which are not opposite"
-        )
-    pts = cut.parent
-    for label, point, side in (
-        ("start", cut.start, cut.start_side),
-        ("end", cut.end, cut.end_side),
-    ):
-        a, b = pts[side], pts[(side + 1) % 4]
-        if not _interior_param(point, a, b, tol):
-            return f"cut {label} {point} not interior to side {side}"
-    return None
+    Pieces are keyed by vertex set, since a strictly convex quad has one
+    cyclic order.  A cut must join opposite sides of an uncut piece, listed
+    in convex order, at points x, y strictly between the side's ends and
+    off its line by at most tol * |side|^2 in cross product (no division,
+    so scale-free).  It replaces the piece by (a, x, y, d) and (x, b, c, y).
+    """
+    pieces = Counter([frozenset(root)])
+    tol = Fraction(tol)  # exact, so lattice ints never meet a float
+    for i, cut in enumerate(cuts):
+        s, e, parent = cut.start_side, cut.end_side, cut.parent
+        if s not in range(4) or e != (s + 2) % 4:
+            return [f"cut {i} joins sides {s} and {e}, which are not opposite"]
+        if not pieces[frozenset(parent)]:
+            return [f"cut {i} parent is not an uncut piece"]
+        if _convex_lines(parent, _doubled_area(parent)) is None:
+            return [f"cut {i} parent is not strictly convex in the order given"]
+        a, b, c, d = parent[s:] + parent[:s]
+        x, y = cut.start, cut.end
+        for label, pt, side, p, q in (("start", x, s, a, b), ("end", y, e, c, d)):
+            v, w = vsub(q, p), vsub(pt, p)
+            vv = dot(v, v)
+            if abs(cross(v, w)) > tol * vv or not 0 < dot(w, v) < vv:
+                return [f"cut {i} {label} is not interior to side {side}"]
+        pieces[frozenset(parent)] -= 1
+        pieces.update((frozenset((a, x, y, d)), frozenset((x, b, c, y))))
+    if len(cuts) != len(tiles) - 1:
+        return [
+            f"glass-cut plan records {len(cuts)} cuts for "
+            f"{len(tiles)} tiles; it needs {len(tiles) - 1}"
+        ]
+    extra = Counter(map(frozenset, tiles)) - pieces
+    stray = [i for i, t in enumerate(tiles) if frozenset(t) in extra]
+    return [f"tiles {stray} are not pieces the cuts leave"] if stray else []
 
 
 def verify_plan(
@@ -230,18 +224,19 @@ def verify_plan(
 ) -> VerificationReport:
     """Check a plan's geometry against its claims.
 
-    Six checks: every tile re-classifies to the expected class (up to
+    Five checks: every tile re-classifies to the expected class (up to
     flip); tile areas sum to the root's area; every tile vertex lies in the
     (convex) root; no two tiles overlap in positive area; and, for
-    glass-cut plans, the plan records exactly one cut fewer than it has
-    tiles, and every recorded cut joins relative interior points of
-    opposite sides.  Tiles inside the root whose areas sum to the root's
+    glass-cut plans, the recorded cuts, replayed from the root, each split
+    one uncut piece between interior points of opposite sides and leave
+    exactly the tiles.  Tiles inside the root whose areas sum to the root's
     and that do not overlap cover it.  Tile pairs go through a bounding-box
     sweep, then the separating-axis test, which counts touching tiles as
     separated; only pairs it cannot separate are clipped.  Exact plans run
     these on ints (see the module docstring).  tol = 0 demands exact
-    agreement; a positive tol bounds the class parameters directly and the
-    area and containment checks relative to the root's area.
+    agreement; a positive tol bounds the class parameters directly, the
+    area and containment checks relative to the root's area, and cut
+    endpoints relative to their sides, so on an exact plan it only loosens.
 
     The expected class defaults to the root's own class, which is right
     for self-affine plans.  Pass it explicitly for plans whose tiles are
@@ -268,9 +263,22 @@ def verify_plan(
         tile_results.append(TileCheck(i, expected, got.cls, ok, note))
 
     # Doubled areas on the lattice are unit = 2 * scale**2 times real areas.
-    scale, flat = on_lattice([*plan.root.points, *(p for t in plan.tiles for p in t.points)])
+    # Cut records of a gc plan share it: a parent, then its start and end.
+    cuts = plan.cuts if plan.gc else ()
+    scale, flat = on_lattice(
+        [
+            *plan.root.points,
+            *(p for t in plan.tiles for p in t.points),
+            *(p for c in cuts for p in (*c.parent, c.start, c.end)),
+        ]
+    )
     unit = 2 * scale * scale
-    lroot, ltiles = flat[:4], [flat[k : k + 4] for k in range(4, len(flat), 4)]
+    end = 4 + 4 * len(plan.tiles)
+    lroot, ltiles = flat[:4], [flat[k : k + 4] for k in range(4, end, 4)]
+    lcuts = [
+        CutRecord(tuple(flat[k : k + 4]), flat[k + 4], flat[k + 5], c.start_side, c.end_side)
+        for c, k in zip(cuts, range(end, len(flat), 6))
+    ]
     root_signed = _doubled_area(lroot)
     tile_doubled = [_doubled_area(t) for t in ltiles]
     root_area = divide(abs(root_signed), unit)
@@ -297,27 +305,16 @@ def verify_plan(
         if (doubled := nx * v[0] + ny * v[1] + c) < limit
     ]
 
-    # Overlapping pairs are clipped from the tiles' own points.
     max_overlap: Scalar = 0
     edges = [_convex_lines(t, a) for t, a in zip(ltiles, tile_doubled)]
     for i, j in _overlap_candidates(ltiles, edges):
         if edges[i] and edges[j] and _separated(ltiles[i], edges[i], ltiles[j], edges[j]):
             continue
-        overlap = convex_intersection_area(plan.tiles[i].points, plan.tiles[j].points)
+        overlap = divide(convex_intersection_area(ltiles[i], ltiles[j]), scale * scale)
         max_overlap = max(max_overlap, overlap)
     overlap_ok = max_overlap <= tol * root_area
 
-    violations: list[str] = []
-    if plan.gc:
-        if len(plan.cuts) != len(plan.tiles) - 1:
-            violations.append(
-                f"glass-cut plan records {len(plan.cuts)} cuts for "
-                f"{len(plan.tiles)} tiles; it needs {len(plan.tiles) - 1}"
-            )
-        for cut in plan.cuts:
-            problem = _check_cut(cut, tol)
-            if problem is not None:
-                violations.append(problem)
+    violations = _replay(lroot, ltiles, lcuts, tol) if plan.gc else []
 
     ok = (
         all(r.ok for r in tile_results)

@@ -408,6 +408,26 @@ def test_cli_plan_documents_keep_booleans_and_numbers_apart(capsys, tmp_path, pl
     assert code == 2 and "error" in out
 
 
+@pytest.mark.parametrize("tree", [{"construction": "nonsense"}, {"construction": ["x"]}])
+def test_cli_verify_refuses_unknown_construction_tags(capsys, tmp_path, tree):
+    doc = json.loads(dumps_plan(dissect_por5(Q_GENERIC), Q_GENERIC))
+    doc["tree"] = tree
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(capsys, "verify", "--plan", str(path))
+    assert code == 2 and "error" in out
+
+
+def test_cli_verify_exact_plan_at_a_positive_tol(capsys, tmp_path):
+    # a cut endpoint of this plan sits 1.15e-24 along its side
+    path = tmp_path / "plan.json"
+    code, _ = _run(capsys, "dissect", "--class", "Q:1/5,1/2", "--n", "51", "--out", str(path))
+    assert code == 0
+    for tol in ("0", "1e-9"):
+        code, doc = _run(capsys, "verify", "--plan", str(path), "--tol", tol)
+        assert code == 0 and doc["ok"], tol
+
+
 def test_cli_refuses_tile_counts_above_the_limit(capsys):
     for cls, n in (("Q:1/5,1/2", 1001), ("T:1/2", 1200)):
         code, doc = _run(capsys, "dissect", "--class", cls, "--n", str(n))

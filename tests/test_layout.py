@@ -1,5 +1,6 @@
 """Module boundaries: no source module imports another module's private names,
-none uses the per-tree reference path, and the CLI prints from one place."""
+none uses the per-tree reference path, the CLI prints from one place, and the
+verifier stays independent of the code whose plans it checks."""
 
 from __future__ import annotations
 
@@ -50,4 +51,28 @@ def test_cli_prints_from_main_and_the_parser_only():
             for node in ast.walk(top)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
         ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_verifier_does_not_use_what_it_checks():
+    # The oracle rebuilds each cut's pieces from the cut record itself: it
+    # may not reach the glueing table, the search, or the realizer's cuts.
+    allowed = {"realizer": {"DissectionPlan"}, "composition": set(), "treesearch": set()}
+    offenders = []
+    for node in ast.walk(ast.parse((SRC / "verifier.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            offenders += [
+                f"line {node.lineno} imports {a.name}"
+                for a in node.names
+                if a.name.split(".")[0] == "gcdissect"
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("gcdissect").lstrip(".")
+            offenders += [
+                f"line {node.lineno} imports {a.name} from {module}"
+                for a in node.names
+                if a.name not in allowed.get(module, {a.name})
+            ]
+        elif (getattr(node, "id", None) or getattr(node, "attr", None)) == "cut_quad":
+            offenders.append(f"line {node.lineno} uses cut_quad")
     assert not offenders, "\n".join(offenders)

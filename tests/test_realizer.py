@@ -257,3 +257,59 @@ def test_even_general_rejects_four():
         dissect_even_general(Q_GENERIC, 4)
     with pytest.raises(UnrealizableError):
         dissect_even_general(Q_GENERIC, 5)
+
+
+# ------------------------------------------------------------- walk order
+
+
+def _pt(p):
+    return f"{p[0]},{p[1]}"
+
+
+# Tiles, cuts (start, end, sides) and pinned ratios in the order the
+# pre-order walk (left subtree before right) emits them.
+WALK_ORDER = {
+    "odd-7": (
+        lambda: dissect_odd(Q_GENERIC, 7),
+        [
+            "0,0 3/4,0 3/8,15/32 0,3/4",
+            "1/2,3/8 7/18,11/24 257/444,161/666 1061/1332,23/5328",
+            "257/444,161/666 7/18,11/24 3/8,15/32 539/1332,575/1332",
+            "3/4,0 313/396,0 981/1628,575/2664 539/1332,575/1332",
+            "981/1628,575/2664 313/396,0 35/44,0 11149/14652,115/2664",
+            "35/44,0 1583/1980,0 1271/1628,115/5328 11149/14652,115/2664",
+            "1271/1628,115/5328 1583/1980,0 4/5,0 1061/1332,23/5328",
+        ],
+        [
+            "3/4,0 3/8,15/32 0 2",
+            "539/1332,575/1332 1061/1332,23/5328 3 1",
+            "7/18,11/24 257/444,161/666 0 2",
+            "35/44,0 11149/14652,115/2664 0 2",
+            "313/396,0 981/1628,575/2664 0 2",
+            "1583/1980,0 1271/1628,115/5328 0 2",
+        ],
+        (),
+    ),
+    "fan-T-4": (
+        lambda: dissect_trapezoid_selfaffine(Trapezoid(F(1, 3)), 4),
+        [
+            "0,0 2/3,0 2/3,1/12 0,1/4",
+            "0,1/4 2/3,1/12 2/3,1/6 0,1/2",
+            "0,1/2 2/3,1/6 2/3,1/4 0,3/4",
+            "0,3/4 2/3,1/4 2/3,1/3 0,1",
+        ],
+        ["0,1/4 2/3,1/12 3 1", "0,1/2 2/3,1/6 3 1", "0,3/4 2/3,1/4 3 1"],
+        (3, 2, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WALK_ORDER)
+def test_realize_tree_walk_order_is_pinned(name):
+    make, tiles, cuts, pinned = WALK_ORDER[name]
+    plan = make()
+    assert [" ".join(map(_pt, t.points)) for t in plan.tiles] == tiles
+    assert [
+        f"{_pt(c.start)} {_pt(c.end)} {c.start_side} {c.end_side}" for c in plan.cuts
+    ] == cuts
+    assert plan.pinned == pinned

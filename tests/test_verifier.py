@@ -29,7 +29,7 @@ from gcdissect import (
     verify_plan,
     verifier,
 )
-from gcdissect.affine_types import canonicalize, class_close, classify_quadrangle
+from gcdissect.affine_types import canonicalize, class_close, classify_quadrangle, lerp
 from gcdissect.cli import report_to_doc
 from gcdissect.verifier import signed_area
 
@@ -407,14 +407,7 @@ def _reference_verify(plan, tol=0, expected=None):
         if edges[i] and edges[j] and verifier._separated(tiles[i], edges[i], tiles[j], edges[j]):
             continue
         max_overlap = max(max_overlap, convex_intersection_area(tiles[i], tiles[j]))
-    violations = []
-    if plan.gc:
-        if len(plan.cuts) != len(plan.tiles) - 1:
-            violations.append(
-                f"glass-cut plan records {len(plan.cuts)} cuts for "
-                f"{len(plan.tiles)} tiles; it needs {len(plan.tiles) - 1}"
-            )
-        violations += filter(None, (verifier._check_cut(cut, tol) for cut in plan.cuts))
+    violations = verifier._replay(root, tiles, plan.cuts, tol) if plan.gc else []
     ok = (
         all(r.ok for r in tile_results)
         and area_deficit <= tol * root_area
@@ -610,3 +603,61 @@ def test_verify_scales_with_the_plan(plan, s, dx, dy):
     assert [r.got for r in after.tile_results] == [r.got for r in before.tile_results]
     assert after.area_deficit == s * s * before.area_deficit
     assert after.max_overlap_area == s * s * before.max_overlap_area
+
+
+# ------------------------------------------------------------ cut replay
+
+
+@pytest.mark.parametrize("name", ["odd", "odd_kite", "fan_T"])
+def test_larger_tol_never_rejects_an_exact_plan(name):
+    plan = _make(name, 51)
+    for tol in (0, 1e-9, 1e-3, F(1, 10)):
+        assert verify_plan(plan, tol).ok, tol
+
+
+def _first(cuts, **change):
+    """The cut list with cut 0 changed."""
+    return [dataclasses.replace(cuts[0], **change), *cuts[1:]]
+
+
+def _side(cut, k):
+    """The two ends of side k of the cut's parent."""
+    return cut.parent[k], cut.parent[(k + 1) % 4]
+
+
+# Each edit of the cut list of dissect_odd(Q_GENERIC, 7), with the one
+# violation it must give.  Cut 0 cuts the root from side 0 to side 2.
+REPLAY_DEFECTS = {
+    "copies-of-first": (
+        lambda cuts: [cuts[0]] * len(cuts),
+        "cut 1 parent is not an uncut piece",
+    ),
+    "reversed": (lambda cuts: cuts[::-1], "cut 0 parent is not an uncut piece"),
+    "sides-5-3": (
+        lambda cuts: _first(cuts, start_side=5, end_side=3),
+        "cut 0 joins sides 5 and 3, which are not opposite",
+    ),
+    # still interior, so cut 0 leaves other pieces than cut 1 names
+    "sliding-start": (
+        lambda cuts: _first(cuts, start=lerp(cuts[0].start, _side(cuts[0], 0)[1], F(1, 2))),
+        "cut 1 parent is not an uncut piece",
+    ),
+    "corner-start": (
+        lambda cuts: _first(cuts, start=_side(cuts[0], 0)[0]),
+        "cut 0 start is not interior to side 0",
+    ),
+    "end-off-side": (
+        lambda cuts: _first(cuts, end=(cuts[0].end[0] + F(1, 1000), cuts[0].end[1])),
+        "cut 0 end is not interior to side 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", REPLAY_DEFECTS)
+def test_replay_rejects_cuts_that_do_not_build_the_tiles(kind):
+    edit, violation = REPLAY_DEFECTS[kind]
+    plan = dissect_odd(Q_GENERIC, 7)
+    assert verify_plan(plan, 0).ok
+    report = verify_plan(dataclasses.replace(plan, cuts=tuple(edit(list(plan.cuts)))), 0)
+    assert not report.ok
+    assert report.gc_cut_violations == (violation,)
