@@ -190,8 +190,9 @@ class Piece(NamedTuple):
 class ClassSet:
     """Finite union of points, trapezoid intervals, and Q-curves; has_p
     tracks the parallelogram class separately.  q_quotients, outside
-    equality, keeps each Q point's quotient as the rows computed it (else
-    alpha/beta): recomputed, equal float quotients land a few ulps apart."""
+    equality, keeps each Q point's quotient as the rows computed it: from
+    alpha/beta, equal float sets would glue to sets a few ulps apart, which
+    the search's set pass could then not merge."""
 
     q_points: tuple[GenericQuad, ...] = ()
     t_points: tuple[Trapezoid, ...] = ()
@@ -222,17 +223,6 @@ class ClassSet:
     @cached_property
     def _flagged(self) -> tuple[Piece, ...]:
         return _pieces_of(self, True)
-
-    @cached_property
-    def signature(self) -> tuple[tuple[str, Scalar], ...]:
-        """Sorted, duplicate-free (kind, quotient) of the unflagged pieces.
-
-        The rows fix a glued set's kinds and quotients from the operands'
-        kinds, quotients and edge flags, not their spans, so equal signatures
-        glue to equal signatures, emptiness included; floats agree bitwise,
-        because the quotients are carried through the rows, not recomputed.
-        """
-        return tuple(sorted({(p.kind, p.quotient) for p in self._unflagged}))
 
 
 def singleton(cls: AffineClass) -> ClassSet:
@@ -273,7 +263,7 @@ def member(s: ClassSet, c: AffineClass, tol: Scalar = 0) -> bool:
 
 
 def may_hold(signature: tuple, c: AffineClass, tol: Scalar = 0) -> bool:
-    """Necessary condition of member: can a set with this signature hold c?
+    """Necessary condition of member: may a set of these (kind, quotient) pieces hold c?
 
     Kinds must match; a generic c also needs a quotient Q with |Q - alpha/beta|
     <= 2*tol/(beta - tol), from member's tests |d alpha|, |d beta| <= tol and

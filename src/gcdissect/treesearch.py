@@ -15,14 +15,13 @@ to back-pointers, made by glueing unordered pairs of flagged lower-level
 sets, each pair once.  Only level-n sets that contain the class are
 expanded back into trees.
 
-A glued set's kinds and quotients (its signature), and whether it is empty,
-follow from its operands' signatures, flags and the op, and a level holds a
-handful of signatures.  So a skeleton of one set per signature is glued
-first, and a pair of sets is glued only when its signatures can reach a
-level-n root passing composition.may_hold.  Hits and their order do not change.
-
-Parity shares the skeleton's level pass, keyed by symbolic token sets
-(subsets of {Q^k, T, P}) instead of signatures.  enumerate_trees,
+A glued set's kinds and quotients, and whether it is empty, follow from its
+operands' kinds, quotients, flags and the op.  Parity's symbolic tokens
+(subsets of {Q^k, T, P}, Q^k for quotient q^k) record exactly that, and a
+level holds a handful of token sets, the same for every leaf of one kind.
+So the search first runs the token level pass as a skeleton, and glues a
+pair of sets only when its tokens can reach a level-n root passing
+composition.may_hold.  Hits and their order do not change.  enumerate_trees,
 quotient_exponents and count_trees are the per-tree references the level
 passes are tested against.
 
@@ -42,12 +41,12 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
-from .affine_types import AffineClass, GenericQuad, flip
+from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
 from .composition import ClassSet, Op, compose_sets, may_hold, member, singleton
 from .errors import SearchCapError
+from .scalars import QUOTIENT_TIE_REL, is_exact
 
 DEFAULT_SEARCH_CAP = 8
 CAP_ENV_VAR = "GCDISSECT_SEARCH_CAP"
@@ -237,22 +236,20 @@ def quotient_exponents(t: ExtTree) -> frozenset[int]:
     Trapezoid and parallelogram members have quotient 1 = q^0 and are
     reported as exponent 0.
     """
-    return _exponents(_sym_eval(t))
+    return frozenset(map(_exponent, _sym_eval(t)))
 
 
 def reachable_exponents(n: int) -> frozenset[int]:
     """Union of quotient_exponents over every canonical n-leaf tree, read off
     the level pass over distinct token sets; refuses n above the search cap."""
     _check_size(n)
-    ids, _ = _level_pass(_LEAF_TOKENS, n, lambda toks: toks, _sym_glue_sets)
-    return _exponents(frozenset().union(*ids[n]))
+    ids, _ = _token_pass(_LEAF_TOKENS, n)
+    return frozenset(map(_exponent, frozenset().union(*ids[n])))
 
 
-def _exponents(toks: frozenset[tuple]) -> frozenset[int]:
-    out = {k for kind, *rest in toks if kind == "Q" for k in rest}
-    if _T_TOKEN in toks or _P_TOKEN in toks:
-        out.add(0)
-    return frozenset(out)
+def _exponent(tok: tuple) -> int:
+    """k for the token Q^k; 0 for T and P, whose quotient is 1 = q^0."""
+    return tok[1] if tok[0] == "Q" else 0
 
 
 _LEAF_TOKENS = frozenset({("Q", 1)})
@@ -330,39 +327,34 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     parameters certifies the class is not n-gc-self-affine (within the
     enumeration cap).
 
-    A glued set's signature, emptiness included, depends only on the
-    operands' signatures, flags and the op: whether a row applies depends on
-    kinds and flags, Q . Q multiplies quotients, Q : Q divides the smaller by
-    the larger or ties to a T piece, and the other rows give T or P.  So the
-    search runs in three passes.  The skeleton glues one set per signature
-    per level, for every ordered pair of flagged signatures (both
-    orientations when the sizes agree), and records each transition.  The
-    backward pass marks the transitions that reach a level-n signature
-    passing may_hold, a necessary condition of member.  The set pass maps
-    each non-empty root set of level k = 2..n to its back-pointers, glueing
-    each unordered pair of flagged lower-level sets once, in a fixed order,
-    when its transition is marked.  Every pair on a path to a hit is marked
-    and keeps its place, so the hits and their order are those of glueing
-    every pair: root sets in the order level n first meets them, then each
-    set's trees in back-pointer order.  Each level logs its counts on the
+    Whether a row applies depends only on kinds and flags, Q . Q multiplies
+    quotients, Q : Q divides them or ties to T, and the other rows give T or
+    P.  So a glued set's tokens (Q^k for quotient q^k, T, P), emptiness
+    included, follow from its operands' tokens, flags and the op, and the
+    search runs in three passes.  The skeleton is the token pass seeded
+    with the leaf's kind: every move (op and ordered pair of flagged token
+    sets) and the token set it glues to.  The backward pass marks the moves
+    on a path to a level-n token set whose quotients pass may_hold, a
+    necessary condition of member.  The set pass maps each non-empty root
+    set of level k = 2..n to its back-pointers, glueing each unordered pair
+    of flagged lower-level sets once, in a fixed order, when its move is
+    marked; the glued set takes its token id from that move.  Every pair on
+    a path to a hit is marked and keeps its place, so the hits and their
+    order are those of glueing every pair.  Each level logs its counts on the
     "gcdissect.treesearch" debug logger.
     """
     _check_size(n)
-    targets: list[AffineClass] = [leaf]
-    if isinstance(leaf, GenericQuad):
-        flipped = flip(leaf)
-        if flipped != leaf:
-            targets.append(flipped)
+    targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
     ids, moves, marked = _skeleton(leaf, n, targets, tol)
 
     # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
     # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left;
-    # edges[k]: (set, flag, id of the set's signature) per set and flag
+    # edges[k]: (set, flag, token id) per set of levels[k] and flag
     levels: list[dict[ClassSet, list[tuple]]] = [{}, {singleton(leaf): []}]
-    edges = [[]]
+    edges = [[], [(singleton(leaf), f, 0) for f in (False, True)]]
     for k in range(2, n + 1):
-        edges.append([(s, f, ids[k - 1][s.signature][0]) for s, f in _with_flags(levels[k - 1])])
         level: dict[ClassSet, list[tuple]] = {}
+        token_ids: dict[ClassSet, int] = {}
         glued = 0
         for op, k1 in _splits(k):
             lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
@@ -376,16 +368,17 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                         if (k1, i1, f1, i2, f2, op) in marked[k]
                     ]
                 for j in js[bisect_left(js, i):] if same else js:
-                    s2, f2, _ = rights[j]
+                    s2, f2, i2 = rights[j]
                     root = compose_sets(s1, f1, s2, f2, op)
                     level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+                    token_ids.setdefault(root, moves[k][(k1, i1, f1, i2, f2, op)])
                     glued += 1
         _log.debug(
-            "level %d: %d skeleton signatures, %d transitions, %d marked, "
-            "%d distinct sets, %d pairs glued",
+            "level %d: %d token sets, %d moves, %d marked, %d distinct sets, %d pairs glued",
             k, len(ids[k]), len(moves[k]), len(marked[k]), len(level), glued,
         )
         levels.append(level)
+        edges.append([(s, f, i) for s, i in token_ids.items() for f in (False, True)])
 
     hits = []
     for root in levels[n]:
@@ -396,32 +389,47 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     return hits
 
 
-def _level_pass(seed, n: int, key, glue) -> tuple[list, list]:
-    """Per level k, ids[k] (key -> (id, first value with that key)) and moves[k]
-    ((k1, id1, f1, id2, f2, op) -> glued id) over every ordered pair of flagged
-    values of levels k1 and k - k1; falsy glue results are dropped."""
-    ids = [{} for _ in range(n + 1)]
-    moves = [{} for _ in range(n + 1)]
-    ids[1][key(seed)] = (0, seed)
+def _token_pass(seed, n: int, glue=_sym_glue_sets) -> tuple[list, list]:
+    """Per level k, ids[k] (token set -> id, in order of first appearance) and
+    moves[k] ((k1, id1, f1, id2, f2, op) -> glued id) over every ordered pair
+    of flagged token sets of levels k1 and k - k1; empty glued sets drop."""
+    ids: list[dict] = [{} for _ in range(n + 1)]
+    moves: list[dict] = [{} for _ in range(n + 1)]
+    ids[1][seed] = 0
     for k in range(2, n + 1):
         for op, k1 in _splits(k):
-            for (i1, r1), f1, (i2, r2), f2 in itertools.product(
-                ids[k1].values(), (False, True), ids[k - k1].values(), (False, True)
+            for (r1, i1), f1, (r2, i2), f2 in itertools.product(
+                ids[k1].items(), (False, True), ids[k - k1].items(), (False, True)
             ):
                 root = glue(r1, f1, r2, f2, op)
                 if root:
-                    j, _ = ids[k].setdefault(key(root), (len(ids[k]), root))
-                    moves[k][(k1, i1, f1, i2, f2, op)] = j
+                    moves[k][(k1, i1, f1, i2, f2, op)] = ids[k].setdefault(root, len(ids[k]))
     return ids, moves
+
+
+def _token_quotients(toks: frozenset[tuple], q) -> list[tuple]:
+    """(kind, quotient) per token at leaf quotient q."""
+    return [(tok[0], q ** _exponent(tok)) for tok in toks]
 
 
 def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list, list]:
     """search_self_affine's skeleton and backward passes: ids and moves of the
-    level pass keyed by signature, and marked[k], the moves on a path to a
-    level-n signature passing may_hold."""
-    ids, moves = _level_pass(singleton(leaf), n, attrgetter("signature"), compose_sets)
+    token pass seeded with the leaf's kind, and marked[k], the moves on a
+    path to a level-n token set whose quotients pass may_hold."""
+    q = affine_quotient(leaf)
+    if not is_exact(q) and 1 - q <= 2 * QUOTIENT_TIE_REL:
+        # q^j and q^k are 1 - q apart (relative), so the colon's float tie
+        # band (doubled, for roundoff) may tie them at j != k where tokens
+        # do not: one token that every glue keeps, every move marked.
+        ids, moves = _token_pass(True, n, lambda *_: True)
+        return ids, moves, moves
+    kind = _T_TOKEN if isinstance(leaf, Trapezoid) else _P_TOKEN
+    seed = _LEAF_TOKENS if isinstance(leaf, GenericQuad) else frozenset({kind})
+    ids, moves = _token_pass(seed, n)
     live = [set() for _ in range(n + 1)]
-    live[n] = {j for sig, (j, _) in ids[n].items() if any(may_hold(sig, t, tol) for t in targets)}
+    for toks, j in ids[n].items():
+        if any(may_hold(_token_quotients(toks, q), t, tol) for t in targets):
+            live[n].add(j)
     marked = [set() for _ in range(n + 1)]
     for k in range(n, 1, -1):
         for move, j in moves[k].items():

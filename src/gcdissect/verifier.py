@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .affine_types import (
@@ -275,9 +276,10 @@ def verify_plan(
     unit = 2 * scale * scale
     end = 4 + 4 * len(plan.tiles)
     lroot, ltiles = flat[:4], [flat[k : k + 4] for k in range(4, end, 4)]
+    rest = iter(flat[end:])  # keywords are read left to right
     lcuts = [
-        CutRecord(tuple(flat[k : k + 4]), flat[k + 4], flat[k + 5], c.start_side, c.end_side)
-        for c, k in zip(cuts, range(end, len(flat), 6))
+        replace(c, parent=tuple(islice(rest, len(c.parent))), start=next(rest), end=next(rest))
+        for c in cuts
     ]
     root_signed = _doubled_area(lroot)
     tile_doubled = [_doubled_area(t) for t in ltiles]

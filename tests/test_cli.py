@@ -196,7 +196,7 @@ def test_cli_search(capsys):
 
 
 def test_cli_search_certifies_empty_n8(capsys):
-    # the signature skeleton marks no transition, so no level builds a set
+    # the token skeleton marks no move, so no level builds a set
     code, doc = _run(capsys, "search", "--class", "Q:2/7,5/9", "--n", "8")
     assert code == 0
     assert doc == []

@@ -33,6 +33,7 @@ from gcdissect import (
     standard_placement,
 )
 from gcdissect.composition import ROWS, cut_quad, decompose, may_hold, singleton
+from gcdissect.treesearch import _token_quotients
 
 F = Fraction
 
@@ -185,12 +186,16 @@ def test_member_points():
 
 
 def test_signature_kinds_and_quotients():
+    # The (kind, quotient) pairs may_hold reads, built from tokens at leaf
+    # quotient 2/5, are those of the pieces of a set with these tokens.
     s = ClassSet(
         q_points=(GenericQuad(F(1, 20), F(5, 16)), GenericQuad(F(1, 10), F(5, 8))),
         t_intervals=(Interval(F(1, 10), False, F(1), False),),
         has_p=True,
     )
-    assert s.signature == (("P", 1), ("Q", F(4, 25)), ("T", 1))
+    pairs = _token_quotients(frozenset({("Q", 2), ("T",), ("P",)}), F(2, 5))
+    assert sorted(pairs) == [("P", 1), ("Q", F(4, 25)), ("T", 1)]
+    assert set(pairs) == {(p.kind, p.quotient) for p in s._unflagged}
 
 
 def test_may_hold_kinds_and_bound():
@@ -223,9 +228,9 @@ def test_may_hold_is_necessary_for_member_at_points(c, tol, i, j):
     # any point within tol of c in alpha and beta, the corners included
     alpha, beta = c.alpha + tol * F(i, 10), c.beta + tol * F(j, 10)
     assume(0 < alpha < beta < 1)
-    s = singleton(GenericQuad(alpha, beta))
-    assert member(s, c, tol)
-    assert may_hold(s.signature, c, tol)
+    # the point's set has the leaf's one token Q^1, at its own quotient
+    assert member(singleton(GenericQuad(alpha, beta)), c, tol)
+    assert may_hold(_token_quotients(frozenset({("Q", 1)}), alpha / beta), c, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from gcdissect import (
     flip,
     realize_cut,
     realize_tree,
+    search_self_affine,
     standard_placement,
     verify_plan,
 )
@@ -313,3 +314,22 @@ def test_realize_tree_walk_order_is_pinned(name):
         f"{_pt(c.start)} {_pt(c.end)} {c.start_side} {c.end_side}" for c in plan.cuts
     ] == cuts
     assert plan.pinned == pinned
+
+
+@pytest.mark.parametrize(
+    "leaf, n, count",
+    [
+        (Q_GENERIC, 5, 6),
+        (Trapezoid(F(1, 3)), 4, 9),
+        (Parallelogram(), 4, 2),
+        (GenericQuad(F(3, 4), F(4, 5)), 7, 108),
+    ],
+    ids=["generic-5", "trapezoid-4", "parallelogram-4", "kite-7"],
+)
+def test_every_exact_search_hit_realizes_and_verifies(leaf, n, count):
+    hits = search_self_affine(leaf, n)
+    assert len(hits) == count
+    for h in hits:
+        plan = realize_tree(h.tree, leaf, root=h.witness, tol=0)
+        assert plan.gc and len(plan.tiles) == n
+        assert verify_plan(plan, 0, expected=leaf).ok, h.tree.key

@@ -661,3 +661,20 @@ def test_replay_rejects_cuts_that_do_not_build_the_tiles(kind):
     report = verify_plan(dataclasses.replace(plan, cuts=tuple(edit(list(plan.cuts)))), 0)
     assert not report.ok
     assert report.gc_cut_violations == (violation,)
+
+
+@pytest.mark.parametrize(
+    "size, violation",
+    [(3, "cut 0 parent is not an uncut piece"),
+     (5, "cut 0 parent is not strictly convex in the order given")],
+    ids=["three-points", "five-points"],
+)
+def test_replay_names_a_cut_whose_parent_is_not_a_quad(size, violation):
+    # A library-built CutRecord need not hold 4 parent points, as a plan
+    # document must; 5 points here repeat the first, so they name a piece.
+    plan = dissect_odd(Q_GENERIC, 7)
+    first = plan.cuts[0]
+    cuts = (dataclasses.replace(first, parent=(first.parent * 2)[:size]), *plan.cuts[1:])
+    report = verify_plan(dataclasses.replace(plan, cuts=cuts), 0)
+    assert not report.ok
+    assert report.gc_cut_violations == (violation,)
