@@ -361,6 +361,73 @@ def test_search_logger_has_no_handlers():
         assert logger.handlers == [] and logger.level == logging.NOTSET
 
 
+def _signature(s):
+    """Sorted, duplicate-free (kind, quotient) of a set's unflagged pieces."""
+    return tuple(sorted({(p.kind, p.quotient) for p in s._unflagged}))
+
+
+def _same_signature(a, b, exact):
+    """Equal signatures; float quotients may differ by roundoff."""
+    if exact:
+        return a == b
+    return all(
+        any(ka == kb and quotients_equal(qa, qb) for kb, qb in other)
+        for one, other in ((a, b), (b, a))
+        for ka, qa in one
+    )
+
+
+def test_float_signatures_glue_to_bitwise_equal_signatures():
+    # Each Q point carries the quotient its rows computed, so sets of one
+    # float signature glue to one signature exactly, not a few ulps apart.
+    leaf = GenericQuad(0.5, 2 * (2**0.5 - 1))
+    cache = {}
+    by_signature = {}
+    for k in range(1, 5):
+        for t in enumerate_trees(k):
+            s = evaluate(t, leaf, cache)
+            group = by_signature.setdefault(_signature(s), [])
+            if s not in group and len(group) < 6:
+                group.append(s)
+    sample = [s for group in by_signature.values() for s in group]
+    roots = {}
+    for a, b in itertools.product(sample, sample):
+        for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
+            got = _signature(compose_sets(a, f1, b, f2, op))
+            assert roots.setdefault((_signature(a), f1, _signature(b), f2, op), got) == got
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [
+        GenericQuad(F(1, 5), F(1, 2)),
+        GenericQuad(F(1, 2), F(2, 3)),
+        Trapezoid(F(1, 3)),
+        Parallelogram(),
+        GenericQuad(0.5, 2 * (2**0.5 - 1)),
+    ],
+    ids=["generic", "kite", "trapezoid", "parallelogram", "family-II"],
+)
+def test_equal_signatures_glue_to_equal_signatures(leaf):
+    # The token pass stands for concrete sets only because glueing depends on
+    # the operands' (kind, quotient) pieces, not their spans. All pairs among
+    # up to six sets of each signature from the levels k <= 4 (every pair of
+    # those sets would take about ten seconds a leaf).
+    cache = {}
+    sets = dict.fromkeys(evaluate(t, leaf, cache) for k in range(1, 5) for t in enumerate_trees(k))
+    by_signature = {}
+    for s in sets:
+        by_signature.setdefault(_signature(s), []).append(s)
+    sample = [s for group in by_signature.values() for s in group[:6]]
+    exact = not isinstance(getattr(leaf, "alpha", 0), float)
+    roots = {}
+    for a, b in itertools.product(sample, sample):
+        for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
+            got = _signature(compose_sets(a, f1, b, f2, op))
+            want = roots.setdefault((_signature(a), f1, _signature(b), f2, op), got)
+            assert _same_signature(got, want, exact), (a, f1, b, f2, op)
+
+
 def _set_tokens(s, q, k):
     """The tokens of a concrete set's pieces, each Q quotient matched to q^e."""
     out = set()
