@@ -22,13 +22,20 @@ using the flipped parameters, so ClassTerm normalizes it away.  For T and P
 tiles the flag is real (it decides whether glueing happens along constant
 sides) and undefined rows raise GlueingError.
 
-Each row is written once, in ROWS, and carries three things: its forward
+Each row is written once, in ROWS, and carries four things: its forward
 image (compose_sets, combine), its inverse, which picks operand classes that
-glue to a given parent class (decompose), and its cut geometry, which places
-the two children inside a concrete parent quad (cut_quad).  Rows work on
-pieces: the members of a ClassSet as seen on one tree edge.  A Q piece is a
-quotient with a range of betas, a T piece a range of ratios, and a P piece
-the parallelogram; a single class is the degenerate closed range.
+glue to a given parent class (decompose), its cut geometry, which places
+the two children inside a concrete parent quad (cut_quad), and its token
+image (glue_tokens).  Rows work on pieces: the members of a ClassSet as seen
+on one tree edge.  A Q piece is a quotient with a range of betas, a T piece
+a range of ratios, and a P piece the parallelogram; a single class is the
+degenerate closed range.
+
+A token stands for a set's pieces of one kind and quotient, whatever their
+spans: ("Q", k) for quotient q^k at the leaf's quotient q, ("T",) and ("P",).
+Whether a row applies depends only on kinds and flags, Q . Q adds exponents,
+Q : Q takes their difference or ties to T, and the other rows give T or P,
+so a glued set's tokens, emptiness included, follow from its operands'.
 """
 
 from __future__ import annotations
@@ -142,11 +149,11 @@ def _flip_betas(q: Scalar, s: Span) -> Span:
     """Image of a beta span under flip at quotient q.
 
     b -> (1-b)/(1-q*b) is a decreasing involution of (0,1), so the span
-    reverses.
+    reverses.  Sorted, since near q = 1 float rounding can cross the ends of
+    a short span.
     """
-    return Span(
-        (1 - s.hi) / (1 - q * s.hi), s.hi_closed, (1 - s.lo) / (1 - q * s.lo), s.lo_closed
-    )
+    lo, hi = sorted(((1 - s.hi) / (1 - q * s.hi), (1 - s.lo) / (1 - q * s.lo)))
+    return Span(lo, s.hi_closed, hi, s.lo_closed)
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,11 @@ class Piece(NamedTuple):
     flag: bool
     span: Optional[Span]
     quotient: Scalar = 1
+
+
+# The tokens of T and P pieces, and of a generic leaf's own set.
+T_TOKEN, P_TOKEN = ("T",), ("P",)
+LEAF_TOKENS = frozenset({("Q", 1)})
 
 
 @dataclass(frozen=True)
@@ -337,9 +349,15 @@ def _t(s: Span) -> Piece:
 _P = Piece("P", False, None)
 
 
-def _at(piece: Piece, x: Scalar) -> AffineClass:
-    """The member of a Q or T piece at span value x."""
-    return GenericQuad(piece.quotient * x, x) if piece.kind == "Q" else Trapezoid(x)
+def _members_at(a: Piece, b: Piece, xy: Optional[tuple]) -> Optional[tuple]:
+    """The members of Q or T pieces a and b at span values xy, or None when
+    there is no xy or it leaves (0, 1), as an open span end may at tol > 0."""
+    if not xy or not all(0 < x < 1 for x in xy):
+        return None
+    return tuple(
+        GenericQuad(p.quotient * x, x) if p.kind == "Q" else Trapezoid(x)
+        for p, x in zip((a, b), xy)
+    )
 
 
 def _split(a: Span, b: Span, product: Scalar, tol: Scalar) -> Optional[tuple]:
@@ -396,6 +414,11 @@ def _dot(a: Piece, b: Piece) -> tuple[Piece, ...]:
     return (Piece(a.kind, False, a.span.times(b.span), a.quotient * b.quotient),)
 
 
+def _dot_tokens(a: tuple, b: tuple) -> tuple[tuple, ...]:
+    # exponents add; only Q . Q has a Q second operand, and T has exponent 0
+    return (("Q", a[1] + b[1]),) if b[0] == "Q" else (a,)
+
+
 def _dot_inverse(a, b, parent, tol):
     if a.kind == "Q":
         if not (
@@ -409,7 +432,7 @@ def _dot_inverse(a, b, parent, tol):
     else:
         return None
     xy = _split(a.span, b.span, product, tol)
-    return xy and (_at(a, xy[0]), _at(b, xy[1]))
+    return _members_at(a, b, xy)
 
 
 def _apex_params(cls: AffineClass) -> tuple[Scalar, Scalar]:
@@ -440,6 +463,11 @@ def _colon_qq(a: Piece, b: Piece) -> tuple[Piece, ...]:
     return (Piece("Q", False, betas.scaled(hi), lo / hi),)
 
 
+def _colon_qq_tokens(a: tuple, b: tuple) -> tuple[tuple, ...]:
+    # q^j / q^k for j > k is q^(j-k); equal exponents tie
+    return (T_TOKEN,) if a[1] == b[1] else (("Q", abs(a[1] - b[1])),)
+
+
 def _colon_qq_inverse(a, b, parent, tol):
     if quotients_equal(a.quotient, b.quotient):
         if not isinstance(parent, Trapezoid):
@@ -454,7 +482,7 @@ def _colon_qq_inverse(a, b, parent, tol):
             return None
         product = parent.beta / hi
     xy = _split(a.span, b.span, product, tol)
-    return xy and (_at(a, xy[0]), _at(b, xy[1]))
+    return _members_at(a, b, xy)
 
 
 def _cut_colon(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
@@ -615,7 +643,8 @@ class Row(NamedTuple):
     left and right are the operand patterns (kind, mirror flag).  forward
     maps two operand pieces to the parent's pieces; inverse maps two
     operand pieces and a parent class to effective operand classes that
-    glue to it, or None.  Both take the pieces in the row's order.  cut
+    glue to it, or None; tokens maps two operand tokens to the tokens of
+    forward's pieces.  All three take operands in the row's order.  cut
     places the children of a concrete parent quad; it takes the effective
     classes in tree order, since the placement depends on it.
     """
@@ -627,18 +656,21 @@ class Row(NamedTuple):
     forward: Callable[[Piece, Piece], tuple[Piece, ...]]
     inverse: Callable[..., Optional[tuple[AffineClass, AffineClass]]]
     cut: Callable[[LabeledQuad, AffineClass, AffineClass, TakeLam], Cut]
+    tokens: Callable[[tuple, tuple], tuple[tuple, ...]]
 
 
 _Q, _T, _TF, _PU = ("Q", False), ("T", False), ("T", True), ("P", False)
 
 ROWS = (
-    Row("Q . Q", Op.DOT, _Q, _Q, _dot, _dot_inverse, _cut_apex),
-    Row("Q : Q", Op.COLON, _Q, _Q, _colon_qq, _colon_qq_inverse, _cut_colon),
-    Row("Q . T", Op.DOT, _Q, _T, _dot, _dot_inverse, _cut_apex),
-    Row("T . T", Op.DOT, _T, _T, _dot, _dot_inverse, _cut_apex),
-    Row("T^F . T^F", Op.DOT, _TF, _TF, _mirror_tt, _mirror_tt_inverse, _cut_mirror_tt),
-    Row("T^F . P", Op.DOT, _TF, _PU, _mirror_tp, _mirror_tp_inverse, _cut_mirror_tp),
-    Row("P . P", Op.DOT, _PU, _PU, _dot_pp, _dot_pp_inverse, _cut_pp),
+    Row("Q . Q", Op.DOT, _Q, _Q, _dot, _dot_inverse, _cut_apex, _dot_tokens),
+    Row("Q : Q", Op.COLON, _Q, _Q, _colon_qq, _colon_qq_inverse, _cut_colon, _colon_qq_tokens),
+    Row("Q . T", Op.DOT, _Q, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens),
+    Row("T . T", Op.DOT, _T, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens),
+    Row("T^F . T^F", Op.DOT, _TF, _TF, _mirror_tt, _mirror_tt_inverse, _cut_mirror_tt,
+        lambda a, b: (T_TOKEN, P_TOKEN)),
+    Row("T^F . P", Op.DOT, _TF, _PU, _mirror_tp, _mirror_tp_inverse, _cut_mirror_tp,
+        lambda a, b: (T_TOKEN,)),
+    Row("P . P", Op.DOT, _PU, _PU, _dot_pp, _dot_pp_inverse, _cut_pp, lambda a, b: (P_TOKEN,)),
 )
 
 # (op, left kind, left flag, right kind, right flag) -> (row, swapped); a
@@ -676,7 +708,7 @@ def _row_pairs(
 
 
 # ---------------------------------------------------------------------------
-# the table applied: forward, inverse, cut
+# the table applied: forward, inverse, cut, tokens
 
 
 def combine(left: ClassTerm, right: ClassTerm, op: Op) -> ClassSet:
@@ -729,6 +761,22 @@ def decompose(
             eff_l, eff_r = pair[::-1] if swapped else pair
             return ClassTerm(eff_l, left_flipped).cls, ClassTerm(eff_r, right_flipped).cls
     raise UnrealizableError(f"no operand choice glues to {parent} at this node")
+
+
+def glue_tokens(
+    xs: frozenset[tuple], fx: bool, ys: frozenset[tuple], fy: bool, op: Op
+) -> frozenset[tuple]:
+    """compose_sets on tokens: the tokens of the set glued from sets with
+    tokens xs and ys on edges flagged fx and fy (empty when nothing glues)."""
+    out = []
+    for x in xs:
+        for y in ys:
+            # as on pieces, a Q operand's flag is absorbed into its parameters
+            found = _TABLE.get((op, x[0], fx and x[0] != "Q", y[0], fy and y[0] != "Q"))
+            if found is not None:
+                row, swapped = found
+                out.extend(row.tokens(y, x) if swapped else row.tokens(x, y))
+    return frozenset(out)
 
 
 def cut_quad(

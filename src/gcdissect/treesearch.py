@@ -15,12 +15,10 @@ to back-pointers, made by glueing unordered pairs of flagged lower-level
 sets, each pair once.  Only level-n sets that contain the class are
 expanded back into trees.
 
-A glued set's kinds and quotients, and whether it is empty, follow from its
-operands' kinds, quotients, flags and the op.  Parity's symbolic tokens
-(subsets of {Q^k, T, P}, Q^k for quotient q^k) record exactly that, and a
-level holds a handful of token sets, the same for every leaf of one kind.
-So the search first runs the token level pass as a skeleton, and glues a
-pair of sets only when its tokens can reach a level-n root passing
+The same level pass on token sets (composition.glue_tokens, the table's
+token column) holds a handful of sets per level, the same for every leaf of
+one kind; parity reads it, and the search runs it first as a skeleton, and
+glues a pair of sets only when its tokens can reach a level-n root passing
 composition.may_hold.  Hits and their order do not change.  enumerate_trees,
 quotient_exponents and count_trees are the per-tree references the level
 passes are tested against.
@@ -44,7 +42,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
-from .composition import ClassSet, Op, compose_sets, may_hold, member, singleton
+from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, compose_sets, glue_tokens
+from .composition import may_hold, member, singleton
 from .errors import SearchCapError
 from .scalars import QUOTIENT_TIE_REL, is_exact
 
@@ -223,16 +222,12 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # symbolic quotient exponents
 
-_T_TOKEN = ("T",)
-_P_TOKEN = ("P",)
-
 
 def quotient_exponents(t: ExtTree) -> frozenset[int]:
     """Exponents k with some root member of quotient (alpha/beta)^k, symbolically.
 
-    Treats the leaf as a generic quadrangle with indeterminate quotient
-    q = alpha/beta: dot glueings add exponents, colon glueings take the
-    absolute difference, and equal exponents under colon produce trapezoids.
+    Glues the tokens of a generic leaf, of indeterminate quotient q =
+    alpha/beta, through the table's token column (composition.glue_tokens).
     Trapezoid and parallelogram members have quotient 1 = q^0 and are
     reported as exponent 0.
     """
@@ -243,7 +238,7 @@ def reachable_exponents(n: int) -> frozenset[int]:
     """Union of quotient_exponents over every canonical n-leaf tree, read off
     the level pass over distinct token sets; refuses n above the search cap."""
     _check_size(n)
-    ids, _ = _token_pass(_LEAF_TOKENS, n)
+    ids, _ = _token_pass(LEAF_TOKENS, n)
     return frozenset(map(_exponent, frozenset().union(*ids[n])))
 
 
@@ -252,57 +247,10 @@ def _exponent(tok: tuple) -> int:
     return tok[1] if tok[0] == "Q" else 0
 
 
-_LEAF_TOKENS = frozenset({("Q", 1)})
-
-
 def _sym_eval(t: ExtTree) -> frozenset[tuple]:
     if isinstance(t, Leaf):
-        return _LEAF_TOKENS
-    return _sym_glue_sets(_sym_eval(t.left), t.left_flip, _sym_eval(t.right), t.right_flip, t.op)
-
-
-def _sym_glue_sets(
-    xs: frozenset[tuple], fx: bool, ys: frozenset[tuple], fy: bool, op: Op
-) -> frozenset[tuple]:
-    return frozenset(tok for x in xs for y in ys for tok in _sym_glue(x, fx, y, fy, op))
-
-
-def _sym_glue(
-    x: tuple, fx: bool, y: tuple, fy: bool, op: Op
-) -> Iterator[tuple]:
-    # Mirror flags on Q operands are absorbed (the quotient is flip-invariant)
-    # but on T/P operands they gate the same rows as the concrete table.
-    if x[0] == "Q" and y[0] == "Q":
-        j, k = x[1], y[1]
-        if op is Op.DOT:
-            yield ("Q", j + k)
-        elif j == k:
-            yield _T_TOKEN
-        else:
-            yield ("Q", abs(j - k))
-        return
-    if op is Op.COLON:
-        return
-    if x[0] == "Q" or y[0] == "Q":
-        q, other, of = (x, y, fy) if x[0] == "Q" else (y, x, fx)
-        if other == _T_TOKEN and not of:
-            yield q
-        return
-    if x == _T_TOKEN and y == _T_TOKEN:
-        if fx != fy:
-            return
-        yield _T_TOKEN
-        if fx:
-            yield _P_TOKEN
-        return
-    if x == _P_TOKEN and y == _P_TOKEN:
-        if not fx and not fy:
-            yield _P_TOKEN
-        return
-    # T with P
-    t_flag, p_flag = (fx, fy) if x == _T_TOKEN else (fy, fx)
-    if t_flag and not p_flag:
-        yield _T_TOKEN
+        return LEAF_TOKENS
+    return glue_tokens(_sym_eval(t.left), t.left_flip, _sym_eval(t.right), t.right_flip, t.op)
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +275,19 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     parameters certifies the class is not n-gc-self-affine (within the
     enumeration cap).
 
-    Whether a row applies depends only on kinds and flags, Q . Q multiplies
-    quotients, Q : Q divides them or ties to T, and the other rows give T or
-    P.  So a glued set's tokens (Q^k for quotient q^k, T, P), emptiness
-    included, follow from its operands' tokens, flags and the op, and the
-    search runs in three passes.  The skeleton is the token pass seeded
-    with the leaf's kind: every move (op and ordered pair of flagged token
-    sets) and the token set it glues to.  The backward pass marks the moves
-    on a path to a level-n token set whose quotients pass may_hold, a
-    necessary condition of member.  The set pass maps each non-empty root
-    set of level k = 2..n to its back-pointers, glueing each unordered pair
-    of flagged lower-level sets once, in a fixed order, when its move is
-    marked; the glued set takes its token id from that move.  Every pair on
-    a path to a hit is marked and keeps its place, so the hits and their
-    order are those of glueing every pair.  Each level logs its counts on the
+    A glued set's tokens (Q^k for quotient q^k, T, P), emptiness included,
+    follow from its operands' tokens, flags and the op through the table's
+    token column (composition.glue_tokens), so the search runs in three
+    passes.  The skeleton is the token pass seeded with the leaf's kind:
+    every move (op and ordered pair of flagged token sets) and the token set
+    it glues to.  The backward pass marks the moves on a path to a level-n
+    token set whose quotients pass may_hold, a necessary condition of
+    member.  The set pass maps each non-empty root set of level k = 2..n to
+    its back-pointers, glueing each unordered pair of flagged lower-level
+    sets once, in a fixed order, when its move is marked; the glued set
+    takes its token id from that move.  Every pair on a path to a hit is
+    marked and keeps its place, so the hits and their order are those of
+    glueing every pair.  Each level logs its counts on the
     "gcdissect.treesearch" debug logger.
     """
     _check_size(n)
@@ -389,7 +336,7 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     return hits
 
 
-def _token_pass(seed, n: int, glue=_sym_glue_sets) -> tuple[list, list]:
+def _token_pass(seed, n: int, glue=glue_tokens) -> tuple[list, list]:
     """Per level k, ids[k] (token set -> id, in order of first appearance) and
     moves[k] ((k1, id1, f1, id2, f2, op) -> glued id) over every ordered pair
     of flagged token sets of levels k1 and k - k1; empty glued sets drop."""
@@ -423,8 +370,8 @@ def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list
         # do not: one token that every glue keeps, every move marked.
         ids, moves = _token_pass(True, n, lambda *_: True)
         return ids, moves, moves
-    kind = _T_TOKEN if isinstance(leaf, Trapezoid) else _P_TOKEN
-    seed = _LEAF_TOKENS if isinstance(leaf, GenericQuad) else frozenset({kind})
+    kind = T_TOKEN if isinstance(leaf, Trapezoid) else P_TOKEN
+    seed = LEAF_TOKENS if isinstance(leaf, GenericQuad) else frozenset({kind})
     ids, moves = _token_pass(seed, n)
     live = [set() for _ in range(n + 1)]
     for toks, j in ids[n].items():

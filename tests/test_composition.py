@@ -7,6 +7,7 @@ algebraic laws on random rational inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -32,7 +33,15 @@ from gcdissect import (
     member,
     standard_placement,
 )
-from gcdissect.composition import ROWS, cut_quad, decompose, may_hold, singleton
+from gcdissect.composition import (
+    _TABLE,
+    ROWS,
+    cut_quad,
+    decompose,
+    glue_tokens,
+    may_hold,
+    singleton,
+)
 from gcdissect.treesearch import _token_quotients
 
 F = Fraction
@@ -391,3 +400,45 @@ def test_rows_round_trip(operands):
         )
         assert classify_quadrangle(child_l.points, 0).cls == canonicalize(cls_l)
         assert classify_quadrangle(child_r.points, 0).cls == canonicalize(cls_r)
+
+
+# ---------------------------------------------------------------------------
+# each row's token image is the kinds and quotient exponents of its forward image
+
+TOKEN_Q = F(2, 5)
+
+
+def _token_operands():
+    """(token, one-piece set) for Q^1..Q^4 at quotient 2/5, T and P."""
+    out = [(("Q", j), singleton(GenericQuad(TOKEN_Q**j / 2, F(1, 2)))) for j in range(1, 5)]
+    out.append((("T",), singleton(Trapezoid(F(1, 3)))))
+    out.append((("P",), singleton(Parallelogram())))
+    return out
+
+
+def _piece_token(p):
+    if p.kind != "Q":
+        return (p.kind,)
+    (e,) = [e for e in range(1, 9) if TOKEN_Q**e == p.quotient]
+    return ("Q", e)
+
+
+def test_row_tokens_match_forward_pieces():
+    seen = set()
+    operands = _token_operands()
+    for (x, sx), (y, sy) in itertools.product(operands, operands):
+        for op, fx, fy in itertools.product(Op, (False, True), (False, True)):
+            (a,) = sx._flagged if fx else sx._unflagged
+            (b,) = sy._flagged if fy else sy._unflagged
+            key = (op, a.kind, a.flag, b.kind, b.flag)
+            got = glue_tokens(frozenset({x}), fx, frozenset({y}), fy, op)
+            if key not in _TABLE:
+                assert got == frozenset() and not compose_sets(sx, fx, sy, fy, op), key
+                continue
+            seen.add(key)
+            row, swapped = _TABLE[key]
+            # operands in the row's order
+            (a, u), (b, v) = ((b, y), (a, x)) if swapped else ((a, x), (b, y))
+            want = {_piece_token(p) for p in row.forward(a, b)}
+            assert set(row.tokens(u, v)) == want == got, (row.name, x, fx, y, fy)
+    assert seen == set(_TABLE)

@@ -333,3 +333,17 @@ def test_every_exact_search_hit_realizes_and_verifies(leaf, n, count):
         plan = realize_tree(h.tree, leaf, root=h.witness, tol=0)
         assert plan.gc and len(plan.tiles) == n
         assert verify_plan(plan, 0, expected=leaf).ok, h.tree.key
+
+
+def test_open_end_hits_at_positive_tol_raise_unrealizable():
+    # At tol 1/10**9 the search also reports six trees that reach the class
+    # only at an open span end, where the inverse would pick ratio 1.
+    # Whether they are hits at all is open; realizing one raises the
+    # documented error, not the class constructors' ValueError.
+    tol = F(1, 10**9)
+    exact = {h.tree.key for h in search_self_affine(Q_GENERIC, 5)}
+    extra = [h for h in search_self_affine(Q_GENERIC, 5, tol) if h.tree.key not in exact]
+    assert len(extra) == 6
+    for h in extra:
+        with pytest.raises(UnrealizableError):
+            realize_tree(h.tree, Q_GENERIC, root=h.witness, tol=tol)
