@@ -257,21 +257,37 @@ def member(s: ClassSet, c: AffineClass, tol: Scalar = 0) -> bool:
     Q-membership against a curve needs the quotient to match within tol and
     the beta coordinate to land in the curve's range.
     """
-    if isinstance(c, Parallelogram):
-        return s.has_p
-    if isinstance(c, Trapezoid):
-        for t in s.t_points:
-            if scalar_close(t.gamma, c.gamma, tol):
-                return True
-        return any(i.contains(c.gamma, tol) for i in s.t_intervals)
-    for q in s.q_points:
-        if scalar_close(q.alpha, c.alpha, tol) and scalar_close(q.beta, c.beta, tol):
-            return True
-    cq = affine_quotient(c)
+    # Q points by their own alpha, which quotient * beta may miss by an ulp;
+    # _pieces_of lists their pieces first.
     return any(
-        scalar_close(curve.quotient, cq, tol) and curve.betas.contains(c.beta, tol)
-        for curve in s.q_curves
-    )
+        isinstance(c, GenericQuad) and _q_point_holds(q.alpha, q.beta, c, tol)
+        for q in s.q_points
+    ) or any(_piece_holds(p, c, tol) for p in s._unflagged[len(s.q_points):])
+
+
+def _q_point_holds(alpha: Scalar, beta: Scalar, c: GenericQuad, tol: Scalar) -> bool:
+    return scalar_close(alpha, c.alpha, tol) and scalar_close(beta, c.beta, tol)
+
+
+def _piece_holds(p: Piece, c: AffineClass, tol: Scalar) -> bool:
+    """member on the one-piece set p, unbuilt: a single-valued span is a
+    point, as _class_set stores it."""
+    if p.kind != _kind(c):
+        return False
+    if p.kind == "P":
+        return True
+    s = p.span
+    if p.kind == "T":
+        return scalar_close(s.lo, c.gamma, tol) if s.lo == s.hi else s.contains(c.gamma, tol)
+    if s.lo == s.hi:
+        # beta first: it rules out most points before alpha is multiplied out
+        return scalar_close(s.lo, c.beta, tol) and _q_point_holds(p.quotient * s.lo, s.lo, c, tol)
+    return s.contains(c.beta, tol) and scalar_close(p.quotient, affine_quotient(c), tol)
+
+
+def _kind(c: AffineClass) -> str:
+    """The kind of c's pieces: "Q", "T" or "P"."""
+    return "P" if isinstance(c, Parallelogram) else "T" if isinstance(c, Trapezoid) else "Q"
 
 
 def may_hold(signature: tuple, c: AffineClass, tol: Scalar = 0) -> bool:
@@ -282,7 +298,7 @@ def may_hold(signature: tuple, c: AffineClass, tol: Scalar = 0) -> bool:
     |d Q| <= tol (no bound at tol >= beta).  Exact values compare exactly (==
     at tol 0), floats in float, widened by the roundoff band QUOTIENT_TIE_REL.
     """
-    kind = "P" if isinstance(c, Parallelogram) else "T" if isinstance(c, Trapezoid) else "Q"
+    kind = _kind(c)
     quotients = [q for k, q in signature if k == kind]
     if kind != "Q" or tol >= c.beta:
         return bool(quotients)
@@ -736,6 +752,20 @@ def compose_sets(
         p
         for row, _, a, b in _row_pairs(left, left_flipped, right, right_flipped, op)
         for p in row.forward(a, b)
+    )
+
+
+def glue_holds(
+    left: ClassSet, left_flipped: bool, right: ClassSet, right_flipped: bool, op: Op,
+    targets: Iterable[AffineClass], tol: Scalar = 0,
+) -> bool:
+    """Whether compose_sets' result holds any of targets (member at tol),
+    tested piece by piece without building the set."""
+    return any(
+        _piece_holds(p, c, tol)
+        for row, _, a, b in _row_pairs(left, left_flipped, right, right_flipped, op)
+        for p in row.forward(a, b)
+        for c in targets
     )
 
 

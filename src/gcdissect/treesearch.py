@@ -12,8 +12,9 @@ The search does not evaluate trees one by one.  A root set depends only on
 the subtrees' sets, and few are distinct, so it runs level by level over
 leaf counts k = 2..n: level k maps each non-empty root set of k-leaf trees
 to back-pointers, made by glueing unordered pairs of flagged lower-level
-sets, each pair once.  Only level-n sets that contain the class are
-expanded back into trees.
+sets, each pair once.  At level n a pair is first tested piece by piece
+(composition.glue_holds), and only the sets that contain the class are
+built and expanded back into trees.
 
 The same level pass on token sets (composition.glue_tokens, the table's
 token column) holds a handful of sets per level, the same for every leaf of
@@ -43,7 +44,7 @@ from typing import Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
 from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, compose_sets, glue_tokens
-from .composition import may_hold, member, singleton
+from .composition import glue_holds, may_hold, member, singleton
 from .errors import SearchCapError
 from .scalars import QUOTIENT_TIE_REL, is_exact
 
@@ -285,10 +286,13 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     member.  The set pass maps each non-empty root set of level k = 2..n to
     its back-pointers, glueing each unordered pair of flagged lower-level
     sets once, in a fixed order, when its move is marked; the glued set
-    takes its token id from that move.  Every pair on a path to a hit is
-    marked and keeps its place, so the hits and their order are those of
-    glueing every pair.  Each level logs its counts on the
-    "gcdissect.treesearch" debug logger.
+    takes its token id from that move.  At level n it first tests the
+    pair with glue_holds, member applied to each forward piece, and builds
+    only the sets that contain the class or its flip.  Every pair on a path
+    to a hit is marked, passes that test and keeps its place, so the hits
+    and their order are those of glueing every pair.  Each level logs its
+    counts on the "gcdissect.treesearch" debug logger (at level n, sets
+    kept and pairs tested).
     """
     _check_size(n)
     targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
@@ -316,12 +320,15 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                     ]
                 for j in js[bisect_left(js, i):] if same else js:
                     s2, f2, i2 = rights[j]
+                    glued += 1
+                    if k == n and not glue_holds(s1, f1, s2, f2, op, targets, tol):
+                        continue
                     root = compose_sets(s1, f1, s2, f2, op)
                     level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
                     token_ids.setdefault(root, moves[k][(k1, i1, f1, i2, f2, op)])
-                    glued += 1
+        tail = "%d sets kept, %d pairs tested" if k == n else "%d distinct sets, %d pairs glued"
         _log.debug(
-            "level %d: %d token sets, %d moves, %d marked, %d distinct sets, %d pairs glued",
+            "level %d: %d token sets, %d moves, %d marked, " + tail,
             k, len(ids[k]), len(moves[k]), len(marked[k]), len(level), glued,
         )
         levels.append(level)

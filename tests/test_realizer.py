@@ -22,6 +22,7 @@ from gcdissect import (
     dissect_trapezoid,
     dissect_trapezoid_selfaffine,
     flip,
+    flip_factor,
     realize_cut,
     realize_tree,
     search_self_affine,
@@ -29,7 +30,7 @@ from gcdissect import (
     verify_plan,
 )
 from gcdissect.affine_types import lerp
-from gcdissect.treesearch import LEAF, Node
+from gcdissect.treesearch import LEAF, Node, canonical
 
 Q_GENERIC = GenericQuad(F(1, 5), F(1, 2))
 Q_KITE = GenericQuad(F(1, 2), F(2, 3))
@@ -187,6 +188,24 @@ def test_odd_kite(n):
     plan = dissect_odd(Q_KITE, n)
     assert len(plan.tiles) == n
     assert verify_plan(plan, 0, expected=Q_KITE).ok
+
+
+@pytest.mark.parametrize(
+    "cls, n",
+    [
+        (Q_GENERIC, 5),
+        (GenericQuad(F(2, 7), F(5, 9)), 5),
+        (Q_GENERIC, 7),
+        (GenericQuad(F(3, 4), F(4, 5)), 7),
+    ],
+    ids=["generic-5", "generic-b-5", "generic-7", "kite-7"],
+)
+def test_odd_construction_tree_is_a_search_hit(cls, n):
+    # The construction's tree carries copies of rep, the member of the flip
+    # orbit with flip factor below 1 (a kite is its own flip).
+    rep = cls if flip_factor(cls) < 1 else flip(cls)
+    tree = dissect_odd(cls, n).tree
+    assert canonical(tree).key in {h.tree.key for h in search_self_affine(rep, n)}
 
 
 def test_odd_kite_five_refused():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from gcdissect import (
+    FamilyId,
     GenericQuad,
     LEAF,
     Node,
@@ -22,6 +23,7 @@ from gcdissect import (
     count_trees,
     enumerate_trees,
     evaluate,
+    family_beta,
     flip,
     member,
     quotient_exponents,
@@ -29,7 +31,7 @@ from gcdissect import (
     search_self_affine,
 )
 from gcdissect import treesearch
-from gcdissect.composition import compose_sets, singleton
+from gcdissect.composition import compose_sets, glue_holds, singleton
 from gcdissect.scalars import quotients_equal
 from gcdissect.treesearch import _expand, _pairs, _with_flags, canonical
 
@@ -282,7 +284,8 @@ def _criterion_3_classes(count):
 # Near-unit float quotients: the colon's 1e-12 tie band can tie q^j and q^k at
 # j != k, which tokens never do (q = 1 - 2e-13 misses 33 hits at n = 6 unless
 # the search glues every pair there).  At q = 1 - 3e-12 and n = 6, flipping a
-# short curve's betas rounds its two ends past each other.
+# short curve's betas rounds its two ends past each other.  The family III and
+# IV points take an exact alpha and a float beta, as the decide workload's do.
 @pytest.mark.parametrize(
     "leaf, tol, top",
     [
@@ -292,6 +295,8 @@ def _criterion_3_classes(count):
         (GenericQuad(F(1, 2), F(2, 3)), 1, 6),
         (GenericQuad(F(1, 2), F(2, 3)), F(1, 10), 6),
         (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9, 6),
+        (GenericQuad(F(1, 2), family_beta(FamilyId.III, F(1, 2))), 1e-9, 5),
+        (GenericQuad(F(1, 2), family_beta(FamilyId.IV, F(1, 2))), 1e-9, 5),
         (GenericQuad(0.3, 0.35), 0.4, 6),
         *((cls, 0, 6) for cls in _criterion_3_classes(3)),
         (GenericQuad(F(3, 4), F(4, 5)), 0, 7),
@@ -302,7 +307,8 @@ def _criterion_3_classes(count):
     ],
     ids=[
         "generic", "trapezoid", "parallelogram", "kite-tol-1", "kite-tol-1/10",
-        "family-II", "float-tol-above-beta", "crit3-a", "crit3-b", "crit3-c", "kite-n7",
+        "family-II", "family-III", "family-IV", "float-tol-above-beta",
+        "crit3-a", "crit3-b", "crit3-c", "kite-n7",
         "near-unit-13", "near-unit-13-tol", "near-unit-12", "near-unit-12-tol",
     ],
 )
@@ -310,6 +316,45 @@ def test_search_matches_unfiltered_level_loop(leaf, tol, top):
     for n in range(1, top + 1):
         got = [(h.tree.key, h.root_set, h.witness) for h in search_self_affine(leaf, n, tol)]
         assert got == _unfiltered_hits(leaf, n, tol), n
+
+
+@pytest.mark.parametrize(
+    "leaf, tol",
+    [
+        (GenericQuad(F(1, 5), F(1, 2)), 0),
+        (GenericQuad(F(3, 4), F(4, 5)), 0),
+        (Trapezoid(F(1, 3)), 0),
+        (Parallelogram(), 0),
+        (GenericQuad(F(3, 4), F(4, 5)), F(1, 10)),
+        (GenericQuad(F(3, 4), F(4, 5)), 1),
+        (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9),
+        (GenericQuad(0.3, 0.3 + 1e-12), 0),
+        (GenericQuad(0.3, 0.3 + 1e-12), 1e-9),
+    ],
+    ids=[
+        "generic", "kite", "trapezoid", "parallelogram", "kite-tol-1/10", "kite-tol-1",
+        "family-II", "near-unit-12", "near-unit-12-tol",
+    ],
+)
+def test_glue_holds_matches_member_of_composed_set(leaf, tol):
+    # The last level's piece test against member on the built set, over the
+    # non-empty sets of up to four leaves, every ordered pair of at most six
+    # leaves (every pair would take about half a minute), both ops, all flags.
+    cache = {}
+    levels = {
+        k: [s for s in dict.fromkeys(evaluate(t, leaf, cache) for t in enumerate_trees(k)) if s]
+        for k in range(1, 5)
+    }
+    targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
+    for k1, k2 in itertools.product(levels, levels):
+        if k1 + k2 > 6:
+            continue
+        for a, b in itertools.product(levels[k1], levels[k2]):
+            for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
+                root = compose_sets(a, f1, b, f2, op)
+                for target in targets:
+                    want = member(root, target, tol)
+                    assert glue_holds(a, f1, b, f2, op, [target], tol) == want, (a, f1, b, f2, op)
 
 
 def test_last_level_composes_few_pairs(monkeypatch):
@@ -324,6 +369,10 @@ def test_last_level_composes_few_pairs(monkeypatch):
     for n in (6, 8):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), n) == []
         assert calls == [], n
+    # With hits, levels 2..4 glue 6 + 30 + 171 pairs; the last level tests
+    # its 606 marked pairs and builds only the 5 that hold the class.
+    assert len(search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 5)) == 6
+    assert len(calls) == 212
 
 
 def test_search_certifies_n8_on_random_classes():
@@ -336,7 +385,9 @@ def _level_counts(records):
 
 
 def test_search_logs_counts_per_level(caplog):
-    # level: (token sets, moves, marked, distinct sets, pairs glued)
+    # level: (token sets, moves, marked, distinct sets, pairs glued); at the
+    # last level (sets kept, pairs tested), since only sets holding the class
+    # are built there
     with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 4) == []
     assert _level_counts(caplog.records) == {
@@ -351,7 +402,7 @@ def test_search_logs_counts_per_level(caplog):
         2: (2, 8, 8, 6, 6),
         3: (2, 10, 10, 20, 30),
         4: (4, 30, 22, 99, 171),
-        5: (3, 40, 18, 244, 606),
+        5: (3, 40, 18, 5, 606),
     }
 
 
