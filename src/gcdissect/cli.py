@@ -597,7 +597,12 @@ def _cmd_dissect(args) -> tuple[int, object]:
     _check_tile_count(n)
     if isinstance(cls, (Trapezoid, Parallelogram)):
         plan = dissect_trapezoid_selfaffine(cls, n)
-    elif n >= 5 and n % 2 == 1:
+    elif n % 2 == 0:
+        raise UnrealizableError(
+            f"no glass-cut dissection of {_class_text(cls)} into {n} copies: by the "
+            "paper's parity theorem, a non-trapezoid has none for even n"
+        )
+    elif n >= 5:
         plan = dissect_odd(cls, n)
     else:
         tol = args.tol if args.tol is not None else 0.0
@@ -625,9 +630,11 @@ def _cmd_selfaffine(args) -> tuple[int, object]:
         # The steering parameter is bisected, so the plan is approximate
         # even over rational inputs.
         return 0, plan_to_doc(dissect_even_general(cls, n), cls, DEFAULT_FLOAT_TOL)
+    if n >= 7:
+        return 0, plan_to_doc(dissect_odd(cls, n), cls)
     raise UnrealizableError(
-        "the general constructions cover n = 5 and even "
-        "n >= 6; for other counts try the dissect command"
+        f"the general constructions cover every n >= 5, not n = {n}; "
+        "for fewer tiles the dissect command decides glass-cut dissections"
     )
 
 

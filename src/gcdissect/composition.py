@@ -22,14 +22,14 @@ using the flipped parameters, so ClassTerm normalizes it away.  For T and P
 tiles the flag is real (it decides whether glueing happens along constant
 sides) and undefined rows raise GlueingError.
 
-Each row is written once, in ROWS, and carries four things: its forward
+Each row is written once, in ROWS, and carries five things: its forward
 image (compose_sets, combine), its inverse, which picks operand classes that
 glue to a given parent class (decompose), its cut geometry, which places
-the two children inside a concrete parent quad (cut_quad), and its token
-image (glue_tokens).  Rows work on pieces: the members of a ClassSet as seen
-on one tree edge.  A Q piece is a quotient with a range of betas, a T piece
-a range of ratios, and a P piece the parallelogram; a single class is the
-degenerate closed range.
+the two children inside a concrete parent quad (cut_quad), its token image
+(glue_tokens), and on product rows a factor bound (glue_partners).  Rows
+work on pieces: the members of a ClassSet as seen on one tree edge.  A Q
+piece is a quotient with a range of betas, a T piece a range of ratios, and
+a P piece the parallelogram; a single class is the degenerate closed range.
 
 A token stands for a set's pieces of one kind and quotient, whatever their
 spans: ("Q", k) for quotient q^k at the leaf's quotient q, ("T",) and ("P",).
@@ -40,6 +40,8 @@ so a glued set's tokens, emptiness included, follow from its operands'.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -662,7 +664,9 @@ class Row(NamedTuple):
     glue to it, or None; tokens maps two operand tokens to the tokens of
     forward's pieces.  All three take operands in the row's order.  cut
     places the children of a concrete parent quad; it takes the effective
-    classes in tree order, since the placement depends on it.
+    classes in tree order, since the placement depends on it.  A product
+    row glues single values a and b to a * b * m, m = 1 on the dot rows and
+    max(q1, q2) on Q : Q; factor maps either operand piece to m's least value.
     """
 
     name: str
@@ -673,15 +677,17 @@ class Row(NamedTuple):
     inverse: Callable[..., Optional[tuple[AffineClass, AffineClass]]]
     cut: Callable[[LabeledQuad, AffineClass, AffineClass, TakeLam], Cut]
     tokens: Callable[[tuple, tuple], tuple[tuple, ...]]
+    factor: Optional[Callable[[Piece], Scalar]] = None
 
 
 _Q, _T, _TF, _PU = ("Q", False), ("T", False), ("T", True), ("P", False)
 
 ROWS = (
-    Row("Q . Q", Op.DOT, _Q, _Q, _dot, _dot_inverse, _cut_apex, _dot_tokens),
-    Row("Q : Q", Op.COLON, _Q, _Q, _colon_qq, _colon_qq_inverse, _cut_colon, _colon_qq_tokens),
-    Row("Q . T", Op.DOT, _Q, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens),
-    Row("T . T", Op.DOT, _T, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens),
+    Row("Q . Q", Op.DOT, _Q, _Q, _dot, _dot_inverse, _cut_apex, _dot_tokens, lambda a: 1),
+    Row("Q : Q", Op.COLON, _Q, _Q, _colon_qq, _colon_qq_inverse, _cut_colon, _colon_qq_tokens,
+        lambda a: a.quotient),
+    Row("Q . T", Op.DOT, _Q, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens, lambda a: 1),
+    Row("T . T", Op.DOT, _T, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens, lambda a: 1),
     Row("T^F . T^F", Op.DOT, _TF, _TF, _mirror_tt, _mirror_tt_inverse, _cut_mirror_tt,
         lambda a, b: (T_TOKEN, P_TOKEN)),
     Row("T^F . P", Op.DOT, _TF, _PU, _mirror_tp, _mirror_tp_inverse, _cut_mirror_tp,
@@ -767,6 +773,52 @@ def glue_holds(
         for p in row.forward(a, b)
         for c in targets
     )
+
+
+def glue_partners(
+    rights: Iterable[tuple[int, ClassSet, bool]], targets: Iterable[AffineClass], tol: Scalar = 0
+) -> Callable[[ClassSet, bool, Op], set[int]]:
+    """An index of right edges (position, set, flag): the returned function
+    maps a left edge (set, flag) and an op to a superset of the positions of
+    the right edges with which it passes glue_holds.  On a product row,
+    single values a and b reach a target value t (beta of Q, gamma of T) only
+    if b is in [(t - tol)/a, (t + tol)/(a * factor(a))], widened by 1e-9
+    (relative) for roundoff, and found by bisect.  A piece with a real span,
+    or a row with no factor, admits every right edge of its pattern."""
+    points, spans = defaultdict(list), defaultdict(set)
+    for j, s, f in rights:
+        for b in s._flagged if f else s._unflagged:
+            if b.span is not None and b.span.lo == b.span.hi:
+                points[b.kind, b.flag].append((float(b.span.lo), j))
+            else:
+                spans[b.kind, b.flag].add(j)
+    index = {key: tuple(zip(*sorted(vj))) for key, vj in points.items()}
+    keys = index.keys() | spans.keys()
+    ts = [float(c.gamma if isinstance(c, Trapezoid) else c.beta)
+          for c in targets if not isinstance(c, Parallelogram)]
+    tol = float(tol)
+
+    def partners(left: ClassSet, left_flipped: bool, op: Op) -> set[int]:
+        out: set[int] = set()
+        for a in left._flagged if left_flipped else left._unflagged:
+            for key in keys:
+                found = _TABLE.get((op, a.kind, a.flag, *key))
+                if found is None:
+                    continue
+                out |= spans[key]
+                values, js = index.get(key, ((), ()))
+                factor = found[0].factor
+                if factor is None or a.span.lo != a.span.hi:
+                    out.update(js)
+                    continue
+                x, m = float(a.span.lo), float(factor(a))
+                for t in ts:
+                    hi = (t + tol) / (x * m)
+                    lo = bisect_left(values, (t - tol) / x - 1e-9 * hi)
+                    out.update(js[lo:bisect_right(values, hi * (1 + 1e-9))])
+        return out
+
+    return partners
 
 
 def decompose(

@@ -12,9 +12,9 @@ The search does not evaluate trees one by one.  A root set depends only on
 the subtrees' sets, and few are distinct, so it runs level by level over
 leaf counts k = 2..n: level k maps each non-empty root set of k-leaf trees
 to back-pointers, made by glueing unordered pairs of flagged lower-level
-sets, each pair once.  At level n a pair is first tested piece by piece
-(composition.glue_holds), and only the sets that contain the class are
-built and expanded back into trees.
+sets, each pair once.  At level n only the pairs an index lookup finds
+(composition.glue_partners) are tested piece by piece (glue_holds), and
+only the sets that contain the class are built and expanded into trees.
 
 The same level pass on token sets (composition.glue_tokens, the table's
 token column) holds a handful of sets per level, the same for every leaf of
@@ -40,11 +40,11 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
 from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, compose_sets, glue_tokens
-from .composition import glue_holds, may_hold, member, singleton
+from .composition import glue_holds, glue_partners, may_hold, member, singleton
 from .errors import SearchCapError
 from .scalars import QUOTIENT_TIE_REL, is_exact
 
@@ -286,13 +286,14 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     member.  The set pass maps each non-empty root set of level k = 2..n to
     its back-pointers, glueing each unordered pair of flagged lower-level
     sets once, in a fixed order, when its move is marked; the glued set
-    takes its token id from that move.  At level n it first tests the
-    pair with glue_holds, member applied to each forward piece, and builds
-    only the sets that contain the class or its flip.  Every pair on a path
-    to a hit is marked, passes that test and keeps its place, so the hits
-    and their order are those of glueing every pair.  Each level logs its
-    counts on the "gcdissect.treesearch" debug logger (at level n, sets
-    kept and pairs tested).
+    takes its token id from that move.  At level n a left edge first looks
+    up the admitted right edges that can glue with it to the class
+    (glue_partners), tests those pairs in order with glue_holds, member on
+    each forward piece, and builds only the sets holding the class or its
+    flip.  Every pair on a path to a hit is marked, found, passes that test
+    and keeps its place, so the hits and their order are those of glueing
+    every pair.  Each level logs its counts on the "gcdissect.treesearch"
+    debug logger (at level n: sets kept, marked pairs, candidates tested).
     """
     _check_size(n)
     targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
@@ -303,10 +304,12 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     # edges[k]: (set, flag, token id) per set of levels[k] and flag
     levels: list[dict[ClassSet, list[tuple]]] = [{}, {singleton(leaf): []}]
     edges = [[], [(singleton(leaf), f, 0) for f in (False, True)]]
+    # k1 -> glue_partners over the level n - k1 edges that marked moves admit
+    partners: dict[int, Callable] = {}
     for k in range(2, n + 1):
         level: dict[ClassSet, list[tuple]] = {}
         token_ids: dict[ClassSet, int] = {}
-        glued = 0
+        glued = tested = 0
         for op, k1 in _splits(k):
             lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
             # (id1, f1) -> positions of the right edges its marked moves admit
@@ -318,18 +321,30 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                         j for j, (_, f2, i2) in enumerate(rights)
                         if (k1, i1, f1, i2, f2, op) in marked[k]
                     ]
-                for j in js[bisect_left(js, i):] if same else js:
+                js = js[bisect_left(js, i):] if same else js
+                glued += len(js)
+                if k == n and js:
+                    if k1 not in partners:
+                        wanted = {(m[3], m[4]) for m in marked[n] if m[0] == k1}
+                        partners[k1] = glue_partners(
+                            ((j, s, f) for j, (s, f, i) in enumerate(rights) if (i, f) in wanted),
+                            targets, tol,
+                        )
+                    candidates = partners[k1](s1, f1, op)
+                    js = [j for j in js if j in candidates]
+                    tested += len(js)
+                for j in js:
                     s2, f2, i2 = rights[j]
-                    glued += 1
                     if k == n and not glue_holds(s1, f1, s2, f2, op, targets, tol):
                         continue
                     root = compose_sets(s1, f1, s2, f2, op)
                     level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
                     token_ids.setdefault(root, moves[k][(k1, i1, f1, i2, f2, op)])
-        tail = "%d sets kept, %d pairs tested" if k == n else "%d distinct sets, %d pairs glued"
+        tail = ("%d sets kept, %d marked pairs, %d candidates tested" if k == n
+                else "%d distinct sets, %d pairs glued")
         _log.debug(
-            "level %d: %d token sets, %d moves, %d marked, " + tail,
-            k, len(ids[k]), len(moves[k]), len(marked[k]), len(level), glued,
+            "level %d: %d token sets, %d moves, %d marked, " + tail, k, len(ids[k]),
+            len(moves[k]), len(marked[k]), len(level), glued, *[tested][: k == n],
         )
         levels.append(level)
         edges.append([(s, f, i) for s, i in token_ids.items() for f in (False, True)])

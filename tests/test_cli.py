@@ -22,6 +22,7 @@ from gcdissect import (
     dissect_por5,
     dissect_trapezoid_selfaffine,
 )
+from gcdissect import cli
 from gcdissect.cli import (
     MAX_TILES,
     _parse_class,
@@ -255,6 +256,18 @@ def test_cli_dissect_refusals(capsys):
     assert code == 1 and "error" in doc
 
 
+def test_cli_dissect_refuses_even_generic_counts_by_parity(capsys, monkeypatch):
+    # The parity theorem answers every even count up to MAX_TILES, past the
+    # search cap, without searching.
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(cli, "search_self_affine", no_search)
+    for cls, n in (("Q:1/5,1/2", 2), ("Q:1/5,1/2", 10), ("Q:3/4,4/5", 10), ("Q:0.2,0.5", MAX_TILES)):
+        code, doc = _run(capsys, "dissect", "--class", cls, "--n", str(n))
+        assert code == 1 and "even n" in doc["error"], (cls, n)
+
+
 def test_cli_selfaffine_even(capsys, tmp_path):
     plan_path = tmp_path / "even.json"
     code, _ = _run(
@@ -289,10 +302,22 @@ def test_cli_selfaffine_float_class_exits_1(capsys, n):
     assert "exact p/q" in doc["error"]
 
 
-def test_cli_selfaffine_refuses_odd_beyond_five(capsys):
-    code, doc = _run(capsys, "selfaffine", "--class", "Q:1/5,1/2", "--n", "7")
-    assert code == 1
-    assert "dissect" in doc["error"]
+@pytest.mark.parametrize("cls", ["Q:1/5,1/2", "Q:3/4,4/5"], ids=["generic", "kite"])
+@pytest.mark.parametrize("n", [7, 9])
+def test_cli_selfaffine_odd_beyond_five_is_a_glass_cut_plan(capsys, tmp_path, cls, n):
+    path = tmp_path / "plan.json"
+    code, _ = _run(capsys, "selfaffine", "--class", cls, "--n", str(n), "--out", str(path))
+    assert code == 0
+    code, doc = _run(capsys, "verify", "--plan", str(path), "--tol", "0")
+    assert code == 0 and doc["ok"]
+    assert len(json.loads(path.read_text())["tiles"]) == n
+
+
+def test_cli_selfaffine_refuses_below_five(capsys):
+    for n in ("3", "4"):
+        code, doc = _run(capsys, "selfaffine", "--class", "Q:1/5,1/2", "--n", n)
+        assert code == 1
+        assert "dissect" in doc["error"], n
 
 
 def test_cli_verify_missing_file(capsys):

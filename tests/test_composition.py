@@ -35,7 +35,10 @@ from gcdissect import (
 )
 from gcdissect.composition import (
     _TABLE,
+    LEAF_TOKENS,
+    P_TOKEN,
     ROWS,
+    T_TOKEN,
     cut_quad,
     decompose,
     glue_tokens,
@@ -442,3 +445,31 @@ def test_row_tokens_match_forward_pieces():
             want = {_piece_token(p) for p in row.forward(a, b)}
             assert set(row.tokens(u, v)) == want == got, (row.name, x, fx, y, fy)
     assert seen == set(_TABLE)
+
+
+def _parity_holds(tok, parity):
+    """The parity invariant at a level of this parity: a Q token's exponent
+    has the level's parity, and T and P tokens occur only at even levels."""
+    return tok[1] % 2 == parity if tok[0] == "Q" else parity == 0
+
+
+def test_parity_invariant_is_inductive():
+    # The paper's even-n theorem for non-trapezoids, by induction over the
+    # token column on abstract states (level parity, token), every op and
+    # edge flag; exponents 1..4 cover both j = m (a tie to T) and j != m.
+    assert all(_parity_holds(tok, 1) for tok in LEAF_TOKENS)
+    states = [
+        (p, tok)
+        for p in (0, 1)
+        for tok in [("Q", j) for j in range(1, 5)] + [T_TOKEN, P_TOKEN]
+        if _parity_holds(tok, p)
+    ]
+    out = set()
+    for (p1, x), (p2, y) in itertools.product(states, states):
+        for op, fx, fy in itertools.product(Op, (False, True), (False, True)):
+            for z in glue_tokens(frozenset({x}), fx, frozenset({y}), fy, op):
+                assert _parity_holds(z, (p1 + p2) % 2), (p1, x, fx, op, p2, y, fy, z)
+                out.add(z)
+    # both parities and every kind are reached, so the check is not vacuous;
+    # an even level never holds Q^1, the exponent of the class itself
+    assert {("Q", 1), ("Q", 2), T_TOKEN, P_TOKEN} <= out

@@ -31,7 +31,7 @@ from gcdissect import (
     search_self_affine,
 )
 from gcdissect import treesearch
-from gcdissect.composition import compose_sets, glue_holds, singleton
+from gcdissect.composition import compose_sets, glue_holds, glue_partners, singleton
 from gcdissect.scalars import quotients_equal
 from gcdissect.treesearch import _expand, _pairs, _with_flags, canonical
 
@@ -318,7 +318,9 @@ def test_search_matches_unfiltered_level_loop(leaf, tol, top):
         assert got == _unfiltered_hits(leaf, n, tol), n
 
 
-@pytest.mark.parametrize(
+# The small sets of these classes exercise every row, point and span pieces,
+# positive tolerances and float quotients within 1e-12 of each other.
+GLUE_CASES = pytest.mark.parametrize(
     "leaf, tol",
     [
         (GenericQuad(F(1, 5), F(1, 2)), 0),
@@ -336,16 +338,26 @@ def test_search_matches_unfiltered_level_loop(leaf, tol, top):
         "family-II", "near-unit-12", "near-unit-12-tol",
     ],
 )
-def test_glue_holds_matches_member_of_composed_set(leaf, tol):
-    # The last level's piece test against member on the built set, over the
-    # non-empty sets of up to four leaves, every ordered pair of at most six
-    # leaves (every pair would take about half a minute), both ops, all flags.
+
+
+def _small_sets(leaf):
+    """The non-empty root sets of up to four leaves, per leaf count, and the
+    targets (the class and its flip)."""
     cache = {}
     levels = {
         k: [s for s in dict.fromkeys(evaluate(t, leaf, cache) for t in enumerate_trees(k)) if s]
         for k in range(1, 5)
     }
     targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
+    return levels, targets
+
+
+@GLUE_CASES
+def test_glue_holds_matches_member_of_composed_set(leaf, tol):
+    # The last level's piece test against member on the built set, over the
+    # non-empty sets of up to four leaves, every ordered pair of at most six
+    # leaves (every pair would take about half a minute), both ops, all flags.
+    levels, targets = _small_sets(leaf)
     for k1, k2 in itertools.product(levels, levels):
         if k1 + k2 > 6:
             continue
@@ -355,6 +367,24 @@ def test_glue_holds_matches_member_of_composed_set(leaf, tol):
                 for target in targets:
                     want = member(root, target, tol)
                     assert glue_holds(a, f1, b, f2, op, [target], tol) == want, (a, f1, b, f2, op)
+
+
+@GLUE_CASES
+def test_glue_partners_hold_every_pair_glue_holds_accepts(leaf, tol):
+    # The last level's lookup may return extra candidates but must miss no
+    # pair that glue_holds accepts, over the same pairs as above.
+    levels, targets = _small_sets(leaf)
+    for k1, k2 in itertools.product(levels, levels):
+        if k1 + k2 > 6:
+            continue
+        rights = [(j, b, f2) for j, (b, f2) in enumerate(_with_flags(levels[k2]))]
+        for target in targets:
+            partners = glue_partners(rights, [target], tol)
+            for a, f1, op in itertools.product(levels[k1], (False, True), Op):
+                candidates = partners(a, f1, op)
+                for j, b, f2 in rights:
+                    if j not in candidates:
+                        assert not glue_holds(a, f1, b, f2, op, [target], tol), (a, f1, b, f2, op)
 
 
 def test_last_level_composes_few_pairs(monkeypatch):
@@ -386,14 +416,15 @@ def _level_counts(records):
 
 def test_search_logs_counts_per_level(caplog):
     # level: (token sets, moves, marked, distinct sets, pairs glued); at the
-    # last level (sets kept, pairs tested), since only sets holding the class
-    # are built there
+    # last level (sets kept, marked pairs, candidates tested), since only
+    # the candidates the lookup returns are tested, and only sets holding
+    # the class are built
     with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 4) == []
     assert _level_counts(caplog.records) == {
         2: (2, 8, 0, 0, 0),
         3: (2, 10, 0, 0, 0),
-        4: (4, 30, 0, 0, 0),
+        4: (4, 30, 0, 0, 0, 0),
     }
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
@@ -402,7 +433,7 @@ def test_search_logs_counts_per_level(caplog):
         2: (2, 8, 8, 6, 6),
         3: (2, 10, 10, 20, 30),
         4: (4, 30, 22, 99, 171),
-        5: (3, 40, 18, 5, 606),
+        5: (3, 40, 18, 5, 606, 87),
     }
 
 
