@@ -664,9 +664,9 @@ class Row(NamedTuple):
     glue to it, or None; tokens maps two operand tokens to the tokens of
     forward's pieces.  All three take operands in the row's order.  cut
     places the children of a concrete parent quad; it takes the effective
-    classes in tree order, since the placement depends on it.  A product
-    row glues single values a and b to a * b * m, m = 1 on the dot rows and
-    max(q1, q2) on Q : Q; factor maps either operand piece to m's least value.
+    classes in tree order, since the placement depends on it.  Product rows
+    glue single values a, b to a*b*m; factor maps either piece to m's least
+    value (m = 1 on the dot rows, max(q1, q2) on Q : Q).
     """
 
     name: str

@@ -344,11 +344,12 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                 else "%d distinct sets, %d pairs glued")
         _log.debug(
             "level %d: %d token sets, %d moves, %d marked, " + tail, k, len(ids[k]),
-            len(moves[k]), len(marked[k]), len(level), glued, *[tested][: k == n],
+            len(moves[k]), len(marked[k]), len(level), glued, *((tested,) if k == n else ()),
         )
         levels.append(level)
         edges.append([(s, f, i) for s, i in token_ids.items() for f in (False, True)])
 
+    partners.clear()  # expanding the hits needs no index
     hits = []
     for root in levels[n]:
         for target in targets:
