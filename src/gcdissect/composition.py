@@ -22,12 +22,16 @@ using the flipped parameters, so ClassTerm normalizes it away.  For T and P
 tiles the flag is real (it decides whether glueing happens along constant
 sides) and undefined rows raise GlueingError.
 
-Each row is written once, in ROWS, and carries five things: its forward
-image (compose_sets, combine), its inverse, which picks operand classes that
-glue to a given parent class (decompose), its cut geometry, which places
-the two children inside a concrete parent quad (cut_quad), its token image
-(glue_tokens), and on product rows a factor bound (glue_partners).  Rows
-work on pieces: the members of a ClassSet as seen on one tree edge.  A Q
+Each row is written once, in ROWS: its forward image (compose_sets,
+combine), its cut geometry, which places the two children inside a
+concrete parent quad (cut_quad), its token image (glue_tokens), and either
+a factor or an inverse.  The four product rows (Q . Q, Q : Q, Q . T,
+T . T) glue single values a, b to a*b*m with m = max(factor(a), factor(b));
+their inverse, which picks operand classes that glue to a given parent
+class (decompose), follows from their forward piece and that m, and the
+factor also bounds the last level's lookup windows (glue_partners).  The
+mirror rows and P . P carry their inverse as a column.  Rows work on
+pieces: the members of a ClassSet as seen on one tree edge.  A Q
 piece is a quotient with a range of betas, a T piece a range of ratios, and
 a P piece the parallelogram; a single class is the degenerate closed range.
 
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -203,17 +207,14 @@ LEAF_TOKENS = frozenset({("Q", 1)})
 @dataclass(frozen=True)
 class ClassSet:
     """Finite union of points, trapezoid intervals, and Q-curves; has_p
-    tracks the parallelogram class separately.  q_quotients, outside
-    equality, keeps each Q point's quotient as the rows computed it: from
-    alpha/beta, equal float sets would glue to sets a few ulps apart, which
-    the search's set pass could then not merge."""
+    tracks the parallelogram class separately.  A Q point's piece takes its
+    quotient from alpha/beta, so equal sets glue to equal sets."""
 
     q_points: tuple[GenericQuad, ...] = ()
     t_points: tuple[Trapezoid, ...] = ()
     t_intervals: tuple[Interval, ...] = ()
     q_curves: tuple[QCurve, ...] = ()
     has_p: bool = False
-    q_quotients: tuple[Scalar, ...] = field(default=(), compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return bool(
@@ -321,9 +322,8 @@ def _point(x: Scalar) -> Span:
 
 def _pieces_of(s: ClassSet, flipped: bool) -> tuple[Piece, ...]:
     out = []
-    quotients = s.q_quotients or [q.alpha / q.beta for q in s.q_points]
-    for q, r in zip(s.q_points, quotients):
-        betas = _point(q.beta)
+    for q in s.q_points:
+        r, betas = q.alpha / q.beta, _point(q.beta)
         out.append(Piece("Q", False, _flip_betas(r, betas) if flipped else betas, r))
     for c in s.q_curves:
         betas = _flip_betas(c.quotient, c.betas) if flipped else c.betas
@@ -349,15 +349,14 @@ def _class_set(pieces: Iterable[Piece]) -> ClassSet:
             else:
                 ti.append(Interval(*s))
         elif s.lo == s.hi:
-            qp.append((GenericQuad(p.quotient * s.lo, s.lo), p.quotient))
+            qp.append(GenericQuad(p.quotient * s.lo, s.lo))
         else:
             qc.append(QCurve(p.quotient, Interval(*s)))
-    qp.sort(key=lambda qr: (qr[0].alpha, qr[0].beta))
+    qp.sort(key=lambda q: (q.alpha, q.beta))
     tp.sort(key=lambda t: t.gamma)
     ti.sort(key=lambda i: (i.lo, i.hi, i.lo_closed, i.hi_closed))
     qc.sort(key=lambda c: (c.quotient, c.betas.lo, c.betas.hi, c.betas.lo_closed))
-    points, quotients = tuple(zip(*qp)) or ((), ())
-    return ClassSet(points, tuple(tp), tuple(ti), tuple(qc), has_p, quotients)
+    return ClassSet(tuple(qp), tuple(tp), tuple(ti), tuple(qc), has_p)
 
 
 def _t(s: Span) -> Piece:
@@ -437,22 +436,6 @@ def _dot_tokens(a: tuple, b: tuple) -> tuple[tuple, ...]:
     return (("Q", a[1] + b[1]),) if b[0] == "Q" else (a,)
 
 
-def _dot_inverse(a, b, parent, tol):
-    if a.kind == "Q":
-        if not (
-            isinstance(parent, GenericQuad)
-            and scalar_close(parent.alpha, a.quotient * b.quotient * parent.beta, tol)
-        ):
-            return None
-        product = parent.beta
-    elif isinstance(parent, Trapezoid):
-        product = parent.gamma
-    else:
-        return None
-    xy = _split(a.span, b.span, product, tol)
-    return _members_at(a, b, xy)
-
-
 def _apex_params(cls: AffineClass) -> tuple[Scalar, Scalar]:
     if isinstance(cls, GenericQuad):
         return cls.alpha, cls.beta
@@ -474,11 +457,12 @@ def _cut_apex(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
 
 
 def _colon_qq(a: Piece, b: Piece) -> tuple[Piece, ...]:
-    betas = a.span.times(b.span)
-    if quotients_equal(a.quotient, b.quotient):
-        return (_t(betas.scaled(a.quotient)),)
+    # betas scale by m = max(q1, q2), as in _inverse, also at a float tie
     lo, hi = sorted((a.quotient, b.quotient))
-    return (Piece("Q", False, betas.scaled(hi), lo / hi),)
+    betas = a.span.times(b.span).scaled(hi)
+    if quotients_equal(lo, hi):
+        return (_t(betas),)
+    return (Piece("Q", False, betas, lo / hi),)
 
 
 def _colon_qq_tokens(a: tuple, b: tuple) -> tuple[tuple, ...]:
@@ -486,35 +470,19 @@ def _colon_qq_tokens(a: tuple, b: tuple) -> tuple[tuple, ...]:
     return (T_TOKEN,) if a[1] == b[1] else (("Q", abs(a[1] - b[1])),)
 
 
-def _colon_qq_inverse(a, b, parent, tol):
-    if quotients_equal(a.quotient, b.quotient):
-        if not isinstance(parent, Trapezoid):
-            return None
-        product = parent.gamma / a.quotient
-    else:
-        lo, hi = sorted((a.quotient, b.quotient))
-        if not (
-            isinstance(parent, GenericQuad)
-            and scalar_close(parent.alpha, lo / hi * parent.beta, tol)
-        ):
-            return None
-        product = parent.beta / hi
-    xy = _split(a.span, b.span, product, tol)
-    return _members_at(a, b, xy)
-
-
 def _cut_colon(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
     """Cut from ab to dc with the two children facing opposite apexes.
 
     One child keeps the parent's orientation, the other is mirror-labeled.
     Which one depends on the order of the two cross products alpha1*beta2
-    and beta1*alpha2; at a tie the parent is the trapezoid they glue to.
+    and beta1*alpha2; only a tie glues to a trapezoid parent, whatever
+    roundoff does to the two products.
     """
     a, b, c, d = parent.points
     a1, b1 = left.alpha, left.beta
     u = a1 * right.beta
     v = b1 * right.alpha
-    if u > v and not quotients_equal(u, v):
+    if u > v and not isinstance(parent.cls, Trapezoid):
         x = lerp(a, b, (1 - b1) / (1 - v))
         y = lerp(d, c, (1 - a1) / (1 - u))
         child_l = LabeledQuad(left, d, y, x, a)
@@ -659,14 +627,15 @@ class Row(NamedTuple):
     """One line of the glueing table.
 
     left and right are the operand patterns (kind, mirror flag).  forward
-    maps two operand pieces to the parent's pieces; inverse maps two
-    operand pieces and a parent class to effective operand classes that
-    glue to it, or None; tokens maps two operand tokens to the tokens of
-    forward's pieces.  All three take operands in the row's order.  cut
-    places the children of a concrete parent quad; it takes the effective
-    classes in tree order, since the placement depends on it.  Product rows
-    glue single values a, b to a*b*m; factor maps either piece to m's least
-    value (m = 1 on the dot rows, max(q1, q2) on Q : Q).
+    maps two operand pieces to the parent's pieces; tokens maps two operand
+    tokens to the tokens of forward's pieces.  cut places the children of a
+    concrete parent quad; it takes the effective classes in tree order,
+    since the placement depends on it.  A product row has a factor and one
+    forward piece: it glues single values a, b to a*b*m, m = max(factor(a),
+    factor(b)) (1 on the dot rows, max(q1, q2) on Q : Q), and _inverse
+    solves that.  Every other row has an inverse, mapping two operand
+    pieces and a parent class to effective operand classes that glue to
+    it, or None.  All but cut take operands in the row's order.
     """
 
     name: str
@@ -674,25 +643,25 @@ class Row(NamedTuple):
     left: tuple[str, bool]
     right: tuple[str, bool]
     forward: Callable[[Piece, Piece], tuple[Piece, ...]]
-    inverse: Callable[..., Optional[tuple[AffineClass, AffineClass]]]
     cut: Callable[[LabeledQuad, AffineClass, AffineClass, TakeLam], Cut]
     tokens: Callable[[tuple, tuple], tuple[tuple, ...]]
     factor: Optional[Callable[[Piece], Scalar]] = None
+    inverse: Optional[Callable[..., Optional[tuple[AffineClass, AffineClass]]]] = None
 
 
 _Q, _T, _TF, _PU = ("Q", False), ("T", False), ("T", True), ("P", False)
 
 ROWS = (
-    Row("Q . Q", Op.DOT, _Q, _Q, _dot, _dot_inverse, _cut_apex, _dot_tokens, lambda a: 1),
-    Row("Q : Q", Op.COLON, _Q, _Q, _colon_qq, _colon_qq_inverse, _cut_colon, _colon_qq_tokens,
-        lambda a: a.quotient),
-    Row("Q . T", Op.DOT, _Q, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens, lambda a: 1),
-    Row("T . T", Op.DOT, _T, _T, _dot, _dot_inverse, _cut_apex, _dot_tokens, lambda a: 1),
-    Row("T^F . T^F", Op.DOT, _TF, _TF, _mirror_tt, _mirror_tt_inverse, _cut_mirror_tt,
-        lambda a, b: (T_TOKEN, P_TOKEN)),
-    Row("T^F . P", Op.DOT, _TF, _PU, _mirror_tp, _mirror_tp_inverse, _cut_mirror_tp,
-        lambda a, b: (T_TOKEN,)),
-    Row("P . P", Op.DOT, _PU, _PU, _dot_pp, _dot_pp_inverse, _cut_pp, lambda a, b: (P_TOKEN,)),
+    Row("Q . Q", Op.DOT, _Q, _Q, _dot, _cut_apex, _dot_tokens, lambda a: 1),
+    Row("Q : Q", Op.COLON, _Q, _Q, _colon_qq, _cut_colon, _colon_qq_tokens, lambda a: a.quotient),
+    Row("Q . T", Op.DOT, _Q, _T, _dot, _cut_apex, _dot_tokens, lambda a: 1),
+    Row("T . T", Op.DOT, _T, _T, _dot, _cut_apex, _dot_tokens, lambda a: 1),
+    Row("T^F . T^F", Op.DOT, _TF, _TF, _mirror_tt, _cut_mirror_tt,
+        lambda a, b: (T_TOKEN, P_TOKEN), inverse=_mirror_tt_inverse),
+    Row("T^F . P", Op.DOT, _TF, _PU, _mirror_tp, _cut_mirror_tp, lambda a, b: (T_TOKEN,),
+        inverse=_mirror_tp_inverse),
+    Row("P . P", Op.DOT, _PU, _PU, _dot_pp, _cut_pp, lambda a, b: (P_TOKEN,),
+        inverse=_dot_pp_inverse),
 )
 
 # (op, left kind, left flag, right kind, right flag) -> (row, swapped); a
@@ -713,6 +682,22 @@ def _lookup(op: Op, left: ClassTerm, right: ClassTerm) -> tuple[Row, bool]:
             f"no glueing row for {pattern}; the rows are {', '.join(r.name for r in ROWS)}"
         )
     return found
+
+
+def _inverse(row: Row, a: Piece, b: Piece, parent: AffineClass, tol: Scalar):
+    """Effective operand classes from pieces a and b that glue to parent
+    under row, or None.  A product row's one forward piece fixes the
+    parent's kind and quotient, and its parameter is then a*b*m."""
+    if row.factor is None:
+        return row.inverse(a, b, parent, tol)
+    (p,) = row.forward(a, b)
+    if p.kind != _kind(parent) or (
+        p.kind == "Q" and not scalar_close(parent.alpha, p.quotient * parent.beta, tol)
+    ):
+        return None
+    value = parent.beta if p.kind == "Q" else parent.gamma
+    xy = _split(a.span, b.span, value / max(row.factor(a), row.factor(b)), tol)
+    return _members_at(a, b, xy)
 
 
 def _row_pairs(
@@ -838,7 +823,7 @@ def decompose(
     the first success wins.  Raises UnrealizableError when no pair works.
     """
     for row, swapped, a, b in _row_pairs(left, left_flipped, right, right_flipped, op):
-        pair = row.inverse(a, b, parent, tol)
+        pair = _inverse(row, a, b, parent, tol)
         if pair:
             eff_l, eff_r = pair[::-1] if swapped else pair
             return ClassTerm(eff_l, left_flipped).cls, ClassTerm(eff_r, right_flipped).cls

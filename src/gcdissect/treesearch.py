@@ -312,15 +312,19 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
         glued = tested = 0
         for op, k1 in _splits(k):
             lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
-            # (id1, f1) -> positions of the right edges its marked moves admit
+            # (id2, f2) -> positions of the right edges with that token id and flag
+            groups: dict[tuple, list[int]] = {}
+            for j, (_, f2, i2) in enumerate(rights):
+                groups.setdefault((i2, f2), []).append(j)
+            # (id1, f1) -> positions, ascending, of the right edges its marked moves admit
             admitted: dict[tuple, list[int]] = {}
             for i, (s1, f1, i1) in enumerate(lefts):
                 js = admitted.get((i1, f1))
                 if js is None:
-                    js = admitted[(i1, f1)] = [
-                        j for j, (_, f2, i2) in enumerate(rights)
-                        if (k1, i1, f1, i2, f2, op) in marked[k]
-                    ]
+                    js = admitted[(i1, f1)] = sorted(
+                        j for (i2, f2), g in groups.items()
+                        if (k1, i1, f1, i2, f2, op) in marked[k] for j in g
+                    )
                 js = js[bisect_left(js, i):] if same else js
                 glued += len(js)
                 if k == n and js:

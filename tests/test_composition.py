@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from gcdissect import (
     member,
     standard_placement,
 )
+from gcdissect.affine_types import cross, lerp, vsub
 from gcdissect.composition import (
     _TABLE,
     LEAF_TOKENS,
@@ -403,6 +405,108 @@ def test_rows_round_trip(operands):
         )
         assert classify_quadrangle(child_l.points, 0).cls == canonicalize(cls_l)
         assert classify_quadrangle(child_r.points, 0).cls == canonicalize(cls_r)
+
+
+def _float_operands():
+    """Float singletons: Q classes with their flips and a copy nudged by an
+    ulp in alpha, so Q : Q ties come an ulp apart, then T classes and P."""
+    rng = random.Random(2)
+    qs = [GenericQuad(0.5, 2 * (2**0.5 - 1))]
+    while len(qs) < 8:
+        a, b = sorted((rng.random(), rng.random()))
+        if 0 < a < b < 1:
+            qs.append(GenericQuad(a, b))
+    classes = [
+        d for c in qs for d in (c, flip(c), GenericQuad(math.nextafter(c.alpha, 1), c.beta))
+    ]
+    classes += [Trapezoid(rng.uniform(0.01, 0.99)) for _ in range(4)] + [Parallelogram()]
+    return [singleton(c) for c in classes]
+
+
+def test_float_rows_round_trip():
+    # decompose at 1e-9 picks classes that glue back to each sampled member,
+    # also where the two quotients of a tie differ in the last bits.
+    tol = 1e-9
+    sets = _float_operands()
+    ties = 0
+    for left, right in itertools.product(sets, sets):
+        for op, left_flip, right_flip in itertools.product(Op, (False, True), (False, True)):
+            image = compose_sets(left, left_flip, right, right_flip, op)
+            (a,), (b,) = left._unflagged, right._unflagged
+            ties += bool(image.t_points) and a.kind == "Q" and a.quotient != b.quotient
+            for target in _sample_members(image):
+                cls_l, cls_r = decompose(left, left_flip, right, right_flip, op, target, tol)
+                glued = combine(term(cls_l, left_flip), term(cls_r, right_flip), op)
+                assert member(glued, target, tol), (left, left_flip, right, right_flip, op, target)
+    assert ties
+
+
+# ---------------------------------------------------------------------------
+# the table against geometry: every glass cut of a convex quadrangle is a row
+
+
+def _glass_cuts(count, seed=1, steps=30):
+    """(parent, child, child) vertex tuples of count exact cuts of P, T and
+    Q parents between interior points of opposite sides, at parameters in
+    steps of 1/steps; half the cuts run parallel to one of the other two
+    sides, which is where Q . T and T^F . P splits occur."""
+    rng = random.Random(seed)
+
+    def step():
+        return F(rng.randint(1, steps - 1), steps)
+
+    out = []
+    while len(out) < count:
+        kind = rng.choice("PTQ")
+        if kind == "P":
+            cls = Parallelogram()
+        elif kind == "T":
+            cls = Trapezoid(step())
+        else:
+            a, b = step(), step()
+            if not a < b:
+                continue
+            cls = GenericQuad(a, b)
+        pts = standard_placement(cls).points
+        i = rng.randrange(2)  # cut from side p0p1 to side p2p3
+        p0, p1, p2, p3 = pts[i:] + pts[:i]
+        x = lerp(p0, p1, step())
+        if rng.random() < 0.5:
+            u, v = rng.choice(((p3, p0), (p1, p2)))
+            # y = p2 + t (p3 - p2) with y - x parallel to v - u
+            t = cross(vsub(x, p2), vsub(v, u)) / cross(vsub(p3, p2), vsub(v, u))
+            if not 0 < t < 1:
+                continue
+        else:
+            t = step()
+        y = lerp(p2, p3, t)
+        out.append((pts, (p0, x, y, p3), (x, p1, p2, y)))
+    return out
+
+
+def test_every_glass_cut_is_a_table_row():
+    # Independent of the rows' columns: classify a cut's parent and children,
+    # then some op, flags and order must glue the children to the parent or
+    # its flip.  Every row must occur, so the check is not vacuous.
+    rows, missing = set(), []
+    for pts, one, two in _glass_cuts(1000):
+        parent = classify_quadrangle(pts, 0).cls
+        wanted = {parent, flip(parent)} if isinstance(parent, GenericQuad) else {parent}
+        c1, c2 = (classify_quadrangle(q, 0).cls for q in (one, two))
+        s1, s2 = singleton(c1), singleton(c2)
+        found = set()
+        for (x, y), op, fx, fy in itertools.product(
+            ((s1, s2), (s2, s1)), Op, (False, True), (False, True)
+        ):
+            image = compose_sets(x, fx, y, fy, op)
+            if any(member(image, w) for w in wanted):
+                (a,), (b,) = x._flagged if fx else x._unflagged, y._flagged if fy else y._unflagged
+                found.add(_TABLE[(op, a.kind, a.flag, b.kind, b.flag)][0].name)
+        if not found:
+            missing.append((parent, c1, c2))
+        rows |= found
+    assert not missing, f"{len(missing)} cuts glue by no row, e.g. {missing[:3]}"
+    assert rows == {row.name for row in ROWS}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Module boundaries: no source module imports another module's private names,
-none uses the per-tree reference path, the CLI prints from one place, and the
-verifier stays independent of the code whose plans it checks."""
+none uses the per-tree reference path, one function decides quotient ties,
+the CLI prints from one place, and the verifier stays independent of the code
+whose plans it checks."""
 
 from __future__ import annotations
 
@@ -34,6 +35,22 @@ def test_no_source_module_uses_the_per_tree_path():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if name in PER_TREE:
                 offenders.append(f"{path.name}:{node.lineno} uses {name}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_only_the_colon_row_decides_quotient_ties():
+    # The Q : Q tie is decided in one place, composition._colon_qq: the
+    # inverse reads it from the forward piece, the colon cut from the parent.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.name == "composition.py" and getattr(top, "name", None) == "_colon_qq":
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} uses quotients_equal"
+                for node in ast.walk(top)
+                if (getattr(node, "id", None) or getattr(node, "attr", None)) == "quotients_equal"
+            ]
     assert not offenders, "\n".join(offenders)
 
 

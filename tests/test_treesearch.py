@@ -460,26 +460,6 @@ def _same_signature(a, b, exact):
     )
 
 
-def test_float_signatures_glue_to_bitwise_equal_signatures():
-    # Each Q point carries the quotient its rows computed, so sets of one
-    # float signature glue to one signature exactly, not a few ulps apart.
-    leaf = GenericQuad(0.5, 2 * (2**0.5 - 1))
-    cache = {}
-    by_signature = {}
-    for k in range(1, 5):
-        for t in enumerate_trees(k):
-            s = evaluate(t, leaf, cache)
-            group = by_signature.setdefault(_signature(s), [])
-            if s not in group and len(group) < 6:
-                group.append(s)
-    sample = [s for group in by_signature.values() for s in group]
-    roots = {}
-    for a, b in itertools.product(sample, sample):
-        for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
-            got = _signature(compose_sets(a, f1, b, f2, op))
-            assert roots.setdefault((_signature(a), f1, _signature(b), f2, op), got) == got
-
-
 @pytest.mark.parametrize(
     "leaf",
     [
