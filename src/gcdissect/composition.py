@@ -24,13 +24,14 @@ sides) and undefined rows raise GlueingError.
 
 Each row is written once, in ROWS: its forward image (compose_sets,
 combine), its cut geometry, which places the two children inside a
-concrete parent quad (cut_quad), its token image (glue_tokens), and either
-a factor or an inverse.  The four product rows (Q . Q, Q : Q, Q . T,
-T . T) glue single values a, b to a*b*m with m = max(factor(a), factor(b));
-their inverse, which picks operand classes that glue to a given parent
-class (decompose), follows from their forward piece and that m, and the
-factor also bounds the last level's lookup windows (glue_partners).  The
-mirror rows and P . P carry their inverse as a column.  Rows work on
+concrete parent quad (cut_quad), its token image (glue_tokens), and on
+the four product rows (Q . Q, Q : Q, Q . T, T . T) a factor: they glue
+single values a, b to a*b*m with m = max(factor(a), factor(b)).  The
+inverse, which picks operand classes that glue to a given parent class
+(decompose), is no column: a product row's follows from its forward piece
+and that m, and the factor also bounds the last level's lookup windows
+(glue_partners); the mirror rows and P . P test a few members of each
+operand against their forward image.  Rows work on
 pieces: the members of a ClassSet as seen on one tree edge.  A Q
 piece is a quotient with a range of betas, a T piece a range of ratios, and
 a P piece the parallelogram; a single class is the degenerate closed range.
@@ -399,10 +400,8 @@ def _split(a: Span, b: Span, product: Scalar, tol: Scalar) -> Optional[tuple]:
     return x, (b.lo if b.lo == b.hi else y)
 
 
-def _pick(s: Span, prefer: Optional[Scalar] = None) -> Scalar:
-    """prefer when s contains it, else the closed lower end, else the middle."""
-    if prefer is not None and s.contains(prefer):
-        return prefer
+def _pick(s: Span) -> Scalar:
+    """The closed lower end of s, else its middle."""
     return s.lo if s.lo_closed else (s.lo + s.hi) / 2
 
 
@@ -420,7 +419,7 @@ def _positive(lam: Scalar) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# the rows: forward image, inverse, cut geometry
+# the rows: forward image, cut geometry, token image
 
 TakeLam = Callable[[], Scalar]
 Cut = tuple[LabeledQuad, LabeledQuad, CutRecord]
@@ -503,40 +502,6 @@ def _mirror_tt(a: Piece, b: Piece) -> tuple[Piece, ...]:
     return (_t(Span(lo, closed, 1, False)), _P)
 
 
-def _mirror_partner(g: Scalar, s: Span, gp: Scalar) -> Optional[Scalar]:
-    """A ratio in s that glues with the fixed ratio g to T(gp) under
-    T^F . T^F, or None."""
-    if g < gp:
-        return _pick(s, gp)
-    if g == gp and s.contains(gp):
-        return gp
-    return _below(s, gp)
-
-
-def _mirror_tt_inverse(a, b, parent, tol):
-    sa, sb = a.span, b.span
-    if isinstance(parent, Parallelogram):
-        g = _pick(sa)
-        return Trapezoid(g), Trapezoid(_pick(sb, g))
-    if not isinstance(parent, Trapezoid):
-        return None
-    gp = parent.gamma
-    # Fix one ratio, a single-valued operand's first, then find its partner.
-    if sa.lo == sa.hi:
-        fixed = ((sa.lo, False),)
-    elif sb.lo == sb.hi:
-        fixed = ((sb.lo, True),)
-    else:
-        inside = gp if sa.contains(gp) else None
-        fixed = ((_below(sa, gp), False), (_below(sb, gp), True), (inside, False))
-    for g, from_b in fixed:
-        h = None if g is None else _mirror_partner(g, sa if from_b else sb, gp)
-        if h is not None:
-            pair = (Trapezoid(g), Trapezoid(h))
-            return pair[::-1] if from_b else pair
-    return None
-
-
 def _cut_mirror_tt(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
     """Cut from side da to side bc into two mirror-placed trapezoids.
 
@@ -574,14 +539,6 @@ def _mirror_tp(t: Piece, p: Piece) -> tuple[Piece, ...]:
     return (_t(Span(t.span.lo, False, 1, False)),)
 
 
-def _mirror_tp_inverse(t, p, parent, tol):
-    if isinstance(parent, Trapezoid):
-        g = _below(t.span, parent.gamma)
-        if g is not None:
-            return Trapezoid(g), Parallelogram()
-    return None
-
-
 def _cut_mirror_tp(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
     """Trapezoid parent into a mirror-placed trapezoid plus parallelogram."""
     a, b, c, d = parent.points
@@ -603,10 +560,6 @@ def _cut_mirror_tp(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
 
 def _dot_pp(a: Piece, b: Piece) -> tuple[Piece, ...]:
     return (_P,)
-
-
-def _dot_pp_inverse(a, b, parent, tol):
-    return (Parallelogram(), Parallelogram()) if isinstance(parent, Parallelogram) else None
 
 
 def _cut_pp(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
@@ -632,10 +585,9 @@ class Row(NamedTuple):
     concrete parent quad; it takes the effective classes in tree order,
     since the placement depends on it.  A product row has a factor and one
     forward piece: it glues single values a, b to a*b*m, m = max(factor(a),
-    factor(b)) (1 on the dot rows, max(q1, q2) on Q : Q), and _inverse
-    solves that.  Every other row has an inverse, mapping two operand
-    pieces and a parent class to effective operand classes that glue to
-    it, or None.  All but cut take operands in the row's order.
+    factor(b)) (1 on the dot rows, max(q1, q2) on Q : Q).  _inverse solves
+    that, and solves every other row by testing a few members of each
+    operand with forward.  All but cut take operands in the row's order.
     """
 
     name: str
@@ -646,7 +598,6 @@ class Row(NamedTuple):
     cut: Callable[[LabeledQuad, AffineClass, AffineClass, TakeLam], Cut]
     tokens: Callable[[tuple, tuple], tuple[tuple, ...]]
     factor: Optional[Callable[[Piece], Scalar]] = None
-    inverse: Optional[Callable[..., Optional[tuple[AffineClass, AffineClass]]]] = None
 
 
 _Q, _T, _TF, _PU = ("Q", False), ("T", False), ("T", True), ("P", False)
@@ -657,11 +608,9 @@ ROWS = (
     Row("Q . T", Op.DOT, _Q, _T, _dot, _cut_apex, _dot_tokens, lambda a: 1),
     Row("T . T", Op.DOT, _T, _T, _dot, _cut_apex, _dot_tokens, lambda a: 1),
     Row("T^F . T^F", Op.DOT, _TF, _TF, _mirror_tt, _cut_mirror_tt,
-        lambda a, b: (T_TOKEN, P_TOKEN), inverse=_mirror_tt_inverse),
-    Row("T^F . P", Op.DOT, _TF, _PU, _mirror_tp, _cut_mirror_tp, lambda a, b: (T_TOKEN,),
-        inverse=_mirror_tp_inverse),
-    Row("P . P", Op.DOT, _PU, _PU, _dot_pp, _cut_pp, lambda a, b: (P_TOKEN,),
-        inverse=_dot_pp_inverse),
+        lambda a, b: (T_TOKEN, P_TOKEN)),
+    Row("T^F . P", Op.DOT, _TF, _PU, _mirror_tp, _cut_mirror_tp, lambda a, b: (T_TOKEN,)),
+    Row("P . P", Op.DOT, _PU, _PU, _dot_pp, _cut_pp, lambda a, b: (P_TOKEN,)),
 )
 
 # (op, left kind, left flag, right kind, right flag) -> (row, swapped); a
@@ -684,12 +633,34 @@ def _lookup(op: Op, left: ClassTerm, right: ClassTerm) -> tuple[Row, bool]:
     return found
 
 
+def _tries(p: Piece, parent: AffineClass) -> Iterator[tuple[Piece, AffineClass]]:
+    """Members of a T or P piece to test against parent, each as a one-member
+    piece and its class: P itself; for T the parent's ratio g when the span
+    holds it, a member below g, then _pick's member."""
+    if p.kind == "P":
+        yield p, Parallelogram()
+        return
+    s, xs = p.span, []
+    if isinstance(parent, Trapezoid):
+        g = parent.gamma
+        xs = [g if s.contains(g) else None, _below(s, g)]
+    for x in [*xs, _pick(s)]:
+        if x is not None:
+            yield p._replace(span=_point(x)), Trapezoid(x)
+
+
 def _inverse(row: Row, a: Piece, b: Piece, parent: AffineClass, tol: Scalar):
     """Effective operand classes from pieces a and b that glue to parent
     under row, or None.  A product row's one forward piece fixes the
-    parent's kind and quotient, and its parameter is then a*b*m."""
+    parent's kind and quotient, and its parameter is then a*b*m.  Any
+    other row takes the first pair of _tries whose forward image holds
+    parent exactly, whatever tol: an open end of it stays open."""
     if row.factor is None:
-        return row.inverse(a, b, parent, tol)
+        for x, cx in _tries(a, parent):
+            for y, cy in _tries(b, parent):
+                if any(_piece_holds(p, parent, 0) for p in row.forward(x, y)):
+                    return cx, cy
+        return None
     (p,) = row.forward(a, b)
     if p.kind != _kind(parent) or (
         p.kind == "Q" and not scalar_close(parent.alpha, p.quotient * parent.beta, tol)

@@ -25,6 +25,7 @@ from gcdissect import (
     Parallelogram,
     QCurve,
     Trapezoid,
+    UnrealizableError,
     affine_quotient,
     canonicalize,
     classify_quadrangle,
@@ -115,6 +116,18 @@ def test_tt_dot_flagged_unequal_open_at_min():
     s = combine(term(Trapezoid(F(1, 10)), True), term(Trapezoid(F(1, 2)), True), Op.DOT)
     assert s.t_intervals == (Interval(F(1, 10), False, F(1), False),)
     assert s.has_p
+
+
+@pytest.mark.parametrize("tol", [0, F(1, 10**9), 1e-9], ids=["0", "exact-1e-9", "float-1e-9"])
+def test_decompose_refuses_an_open_end_at_every_tol(tol):
+    # T(5/6)^F . T(1/30)^F glues to ratios above 1/30 only: the image is
+    # open there, and the cut of that pair would not exist.  A positive tol
+    # must not close the end.
+    with pytest.raises(UnrealizableError):
+        decompose(
+            singleton(Trapezoid(F(5, 6))), True, singleton(Trapezoid(F(1, 30))), True,
+            Op.DOT, Trapezoid(F(1, 30)), tol,
+        )
 
 
 def test_tp_dot_flagged():

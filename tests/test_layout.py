@@ -1,7 +1,7 @@
 """Module boundaries: no source module imports another module's private names,
 none uses the per-tree reference path, one function decides quotient ties,
-the CLI prints from one place, and the verifier stays independent of the code
-whose plans it checks."""
+one function inverts the glueing rows, the CLI prints from one place, and the
+verifier stays independent of the code whose plans it checks."""
 
 from __future__ import annotations
 
@@ -51,6 +51,24 @@ def test_only_the_colon_row_decides_quotient_ties():
                 for node in ast.walk(top)
                 if (getattr(node, "id", None) or getattr(node, "attr", None)) == "quotients_equal"
             ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_one_function_inverts_the_glueing_rows():
+    # composition._inverse solves every row from its forward image; no
+    # row carries an inverse of its own, as a function or a Row field.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_inverse"):
+                if (path.name, node.name) != ("composition.py", "_inverse"):
+                    offenders.append(f"{path.name}:{node.lineno} defines {node.name}")
+            elif isinstance(node, ast.ClassDef) and node.name == "Row":
+                offenders += [
+                    f"{path.name}:{field.lineno} Row declares inverse"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and field.target.id == "inverse"
+                ]
     assert not offenders, "\n".join(offenders)
 
 

@@ -321,7 +321,31 @@ WALK_ORDER = {
         ["0,1/4 2/3,1/12 3 1", "0,1/2 2/3,1/6 3 1", "0,3/4 2/3,1/4 3 1"],
         (3, 2, 1),
     ),
+    # The root is T^F . T^F over two ratio intervals that both hold 1/5:
+    # the inverse picks 1/5 twice, so that cut is free and pinned too.
+    "mirror-intervals-5": (
+        lambda: _realize_hit(Trapezoid(F(1, 5)), 5, "((LF.LF)F.(LF.(L.L)F)F)"),
+        [
+            "0,0 4/5,0 4/5,1/20 0,1/4",
+            "0,1/4 4/5,1/20 4/5,1/10 0,1/2",
+            "4/5,1/5 0,1 0,61/62 4/5,37/310",
+            "0,1/2 2/3,1/6 2/3,49/186 0,61/62",
+            "2/3,1/6 4/5,1/10 4/5,37/310 2/3,49/186",
+        ],
+        [
+            "0,1/2 4/5,1/10 3 1",
+            "0,1/4 4/5,1/20 3 1",
+            "0,61/62 4/5,37/310 3 1",
+            "2/3,1/6 2/3,49/186 0 2",
+        ],
+        (1, 1),
+    ),
 }
+
+
+def _realize_hit(leaf, n, key):
+    (hit,) = [h for h in search_self_affine(leaf, n) if h.tree.key == key]
+    return realize_tree(hit.tree, leaf, root=leaf, tol=0)
 
 
 @pytest.mark.parametrize("name", WALK_ORDER)
