@@ -322,7 +322,7 @@ WALK_ORDER = {
         (3, 2, 1),
     ),
     # The root is T^F . T^F over two ratio intervals that both hold 1/5:
-    # the inverse picks 1/5 twice, so that cut is free and pinned too.
+    # the inverse picks 1/5 twice, so that cut is free and takes a pinned ratio.
     "mirror-intervals-5": (
         lambda: _realize_hit(Trapezoid(F(1, 5)), 5, "((LF.LF)F.(LF.(L.L)F)F)"),
         [
