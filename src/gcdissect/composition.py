@@ -31,10 +31,12 @@ inverse, which picks operand classes that glue to a given parent class
 (decompose), is no column: a product row's follows from its forward piece
 and that m, and the factor also bounds the last level's lookup windows
 (glue_partners); the mirror rows and P . P test a few members of each
-operand against their forward image.  Rows work on
-pieces: the members of a ClassSet as seen on one tree edge.  A Q
-piece is a quotient with a range of betas, a T piece a range of ratios, and
-a P piece the parallelogram; a single class is the degenerate closed range.
+operand against their forward image.  Rows work on pieces, which is what a
+ClassSet holds: a Q piece is a quotient with a range of betas, a T piece a
+range of ratios, and a P piece the parallelogram; a single class is the
+degenerate closed range.  A set stores its pieces as on an unflagged edge,
+and _flag moves each onto a flagged one.  A glued Q piece keeps the quotient
+its row computed, so equal sets glue to equal sets.
 
 A token stands for a set's pieces of one kind and quotient, whatever their
 spans: ("Q", k) for quotient q^k at the leaf's quotient q, ("T",) and ("P",).
@@ -207,20 +209,40 @@ LEAF_TOKENS = frozenset({("Q", 1)})
 
 @dataclass(frozen=True)
 class ClassSet:
-    """Finite union of points, trapezoid intervals, and Q-curves; has_p
-    tracks the parallelogram class separately.  A Q point's piece takes its
-    quotient from alpha/beta, so equal sets glue to equal sets."""
+    """Finite union of pieces, deduplicated and sorted by _class_set.
 
-    q_points: tuple[GenericQuad, ...] = ()
-    t_points: tuple[Trapezoid, ...] = ()
-    t_intervals: tuple[Interval, ...] = ()
-    q_curves: tuple[QCurve, ...] = ()
-    has_p: bool = False
+    q_points, t_points, t_intervals, q_curves and has_p read the pieces as
+    classes: Q and T points, trapezoid intervals, Q-curves and the
+    parallelogram.  Each view builds and validates its classes when read.
+    """
+
+    pieces: tuple[Piece, ...] = ()
 
     def __bool__(self) -> bool:
-        return bool(
-            self.q_points or self.t_points or self.t_intervals or self.q_curves or self.has_p
-        )
+        return bool(self.pieces)
+
+    def _of(self, kind: str, point: bool) -> Iterator[Piece]:
+        return (p for p in self.pieces if p.kind == kind and (p.span.lo == p.span.hi) == point)
+
+    @property
+    def q_points(self) -> tuple[GenericQuad, ...]:
+        return tuple(GenericQuad(p.quotient * p.span.lo, p.span.lo) for p in self._of("Q", True))
+
+    @property
+    def t_points(self) -> tuple[Trapezoid, ...]:
+        return tuple(Trapezoid(p.span.lo) for p in self._of("T", True))
+
+    @property
+    def t_intervals(self) -> tuple[Interval, ...]:
+        return tuple(Interval(*p.span) for p in self._of("T", False))
+
+    @property
+    def q_curves(self) -> tuple[QCurve, ...]:
+        return tuple(QCurve(p.quotient, Interval(*p.span)) for p in self._of("Q", False))
+
+    @property
+    def has_p(self) -> bool:
+        return _P in self.pieces
 
     def members(self) -> Iterator[AffineClass]:
         """The isolated-point members (intervals and curves are uncountable)."""
@@ -229,24 +251,15 @@ class ClassSet:
         if self.has_p:
             yield Parallelogram()
 
-    # Pieces on an unflagged and on a flagged edge, built once per set:
-    # search composes the same subtree sets many times.
-
-    @cached_property
-    def _unflagged(self) -> tuple[Piece, ...]:
-        return _pieces_of(self, False)
-
+    # The pieces on a flagged edge, built once per set: search composes the
+    # same subtree sets many times.
     @cached_property
     def _flagged(self) -> tuple[Piece, ...]:
-        return _pieces_of(self, True)
+        return tuple(map(_flag, self.pieces))
 
 
 def singleton(cls: AffineClass) -> ClassSet:
-    if isinstance(cls, GenericQuad):
-        return ClassSet(q_points=(cls,))
-    if isinstance(cls, Trapezoid):
-        return ClassSet(t_points=(cls,))
-    return ClassSet(has_p=True)
+    return ClassSet((_piece(cls),))
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +272,17 @@ def member(s: ClassSet, c: AffineClass, tol: Scalar = 0) -> bool:
     tol = 0 demands exact membership including interval endpoint strictness;
     tol > 0 softens interval endpoints and compares parameters by |diff|.
     Q-membership against a curve needs the quotient to match within tol and
-    the beta coordinate to land in the curve's range.
+    the beta coordinate to land in the curve's range.  A Q point stores its
+    beta and quotient, and its alpha, quotient * beta, may miss an alpha by
+    an ulp that alpha/beta does not: at tol 0 it holds c when the betas and
+    either the alphas or the quotients are equal, so it holds both its own
+    q_points class and every class whose piece it is.
     """
-    # Q points by their own alpha, which quotient * beta may miss by an ulp;
-    # _pieces_of lists their pieces first.
-    return any(
-        isinstance(c, GenericQuad) and _q_point_holds(q.alpha, q.beta, c, tol)
-        for q in s.q_points
-    ) or any(_piece_holds(p, c, tol) for p in s._unflagged[len(s.q_points):])
-
-
-def _q_point_holds(alpha: Scalar, beta: Scalar, c: GenericQuad, tol: Scalar) -> bool:
-    return scalar_close(alpha, c.alpha, tol) and scalar_close(beta, c.beta, tol)
+    return any(_piece_holds(p, c, tol) for p in s.pieces)
 
 
 def _piece_holds(p: Piece, c: AffineClass, tol: Scalar) -> bool:
-    """member on the one-piece set p, unbuilt: a single-valued span is a
-    point, as _class_set stores it."""
+    """member on the one-piece set p."""
     if p.kind != _kind(c):
         return False
     if p.kind == "P":
@@ -285,7 +292,10 @@ def _piece_holds(p: Piece, c: AffineClass, tol: Scalar) -> bool:
         return scalar_close(s.lo, c.gamma, tol) if s.lo == s.hi else s.contains(c.gamma, tol)
     if s.lo == s.hi:
         # beta first: it rules out most points before alpha is multiplied out
-        return scalar_close(s.lo, c.beta, tol) and _q_point_holds(p.quotient * s.lo, s.lo, c, tol)
+        return scalar_close(s.lo, c.beta, tol) and (
+            scalar_close(p.quotient * s.lo, c.alpha, tol)
+            or not tol and p.quotient == affine_quotient(c)
+        )
     return s.contains(c.beta, tol) and scalar_close(p.quotient, affine_quotient(c), tol)
 
 
@@ -321,43 +331,25 @@ def _point(x: Scalar) -> Span:
     return Span(x, True, x, True)
 
 
-def _pieces_of(s: ClassSet, flipped: bool) -> tuple[Piece, ...]:
-    out = []
-    for q in s.q_points:
-        r, betas = q.alpha / q.beta, _point(q.beta)
-        out.append(Piece("Q", False, _flip_betas(r, betas) if flipped else betas, r))
-    for c in s.q_curves:
-        betas = _flip_betas(c.quotient, c.betas) if flipped else c.betas
-        out.append(Piece("Q", False, betas, c.quotient))
-    out.extend(Piece("T", flipped, _point(t.gamma)) for t in s.t_points)
-    out.extend(Piece("T", flipped, i) for i in s.t_intervals)
-    if s.has_p:
-        out.append(Piece("P", flipped, None))
-    return tuple(out)
+def _piece(cls: AffineClass) -> Piece:
+    """The unflagged piece of one class."""
+    if isinstance(cls, GenericQuad):
+        return Piece("Q", False, _point(cls.beta), affine_quotient(cls))
+    if isinstance(cls, Trapezoid):
+        return Piece("T", False, _point(cls.gamma))
+    return _P
+
+
+def _flag(p: Piece) -> Piece:
+    """p on a flagged edge: a Q piece flips its betas, T and P take the flag."""
+    if p.kind == "Q":
+        return p._replace(span=_flip_betas(p.quotient, p.span))
+    return p._replace(flag=True)
 
 
 def _class_set(pieces: Iterable[Piece]) -> ClassSet:
     """Deduplicated, deterministically ordered ClassSet of result pieces."""
-    qp, tp, ti, qc = [], [], [], []
-    has_p = False
-    for p in set(pieces):
-        s = p.span
-        if p.kind == "P":
-            has_p = True
-        elif p.kind == "T":
-            if s.lo == s.hi:
-                tp.append(Trapezoid(s.lo))
-            else:
-                ti.append(Interval(*s))
-        elif s.lo == s.hi:
-            qp.append(GenericQuad(p.quotient * s.lo, s.lo))
-        else:
-            qc.append(QCurve(p.quotient, Interval(*s)))
-    qp.sort(key=lambda q: (q.alpha, q.beta))
-    tp.sort(key=lambda t: t.gamma)
-    ti.sort(key=lambda i: (i.lo, i.hi, i.lo_closed, i.hi_closed))
-    qc.sort(key=lambda c: (c.quotient, c.betas.lo, c.betas.hi, c.betas.lo_closed))
-    return ClassSet(tuple(qp), tuple(tp), tuple(ti), tuple(qc), has_p)
+    return ClassSet(tuple(sorted(set(pieces))))
 
 
 def _t(s: Span) -> Piece:
@@ -622,8 +614,7 @@ for _row in ROWS:
 
 
 def _lookup(op: Op, left: ClassTerm, right: ClassTerm) -> tuple[Row, bool]:
-    (a,) = _pieces_of(singleton(left.cls), left.flipped)
-    (b,) = _pieces_of(singleton(right.cls), right.flipped)
+    a, b = (_flag(_piece(t.cls)) if t.flipped else _piece(t.cls) for t in (left, right))
     found = _TABLE.get((op, a.kind, a.flag, b.kind, b.flag))
     if found is None:
         pattern = f"{a.kind}{'^F' * a.flag} {op.symbol} {b.kind}{'^F' * b.flag}"
@@ -676,8 +667,8 @@ def _row_pairs(
 ) -> Iterator[tuple[Row, bool, Piece, Piece]]:
     """(row, swapped, a, b) for every piece pair that has a row, with a and
     b in the row's operand order."""
-    right_pieces = right._flagged if right_flipped else right._unflagged
-    for a in left._flagged if left_flipped else left._unflagged:
+    right_pieces = right._flagged if right_flipped else right.pieces
+    for a in left._flagged if left_flipped else left.pieces:
         for b in right_pieces:
             found = _TABLE.get((op, a.kind, a.flag, b.kind, b.flag))
             if found is not None:
@@ -743,7 +734,7 @@ def glue_partners(
     or a row with no factor, admits every right edge of its pattern."""
     points, spans = defaultdict(list), defaultdict(set)
     for j, s, f in rights:
-        for b in s._flagged if f else s._unflagged:
+        for b in s._flagged if f else s.pieces:
             if b.span is not None and b.span.lo == b.span.hi:
                 points[b.kind, b.flag].append((float(b.span.lo), j))
             else:
@@ -756,7 +747,7 @@ def glue_partners(
 
     def partners(left: ClassSet, left_flipped: bool, op: Op) -> set[int]:
         out: set[int] = set()
-        for a in left._flagged if left_flipped else left._unflagged:
+        for a in left._flagged if left_flipped else left.pieces:
             for key in keys:
                 found = _TABLE.get((op, a.kind, a.flag, *key))
                 if found is None:

@@ -242,7 +242,7 @@ def realize_tree(
                 break
         else:
             points = list(root_set.members())
-            if len(points) == 1 and not root_set.t_intervals and not root_set.q_curves:
+            if len(points) == len(root_set.pieces) == 1:
                 # Not self-affine, but the tree admits exactly one root class.
                 root = points[0]
             else:

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gcdissect import (
-    ClassSet,
     ClassTerm,
     GenericQuad,
     GlueingError,
@@ -42,6 +41,9 @@ from gcdissect.composition import (
     P_TOKEN,
     ROWS,
     T_TOKEN,
+    Piece,
+    _class_set,
+    _piece,
     cut_quad,
     decompose,
     glue_tokens,
@@ -55,6 +57,14 @@ F = Fraction
 
 def term(cls, flipped=False):
     return ClassTerm(cls, flipped)
+
+
+def class_set(q_points=(), t_points=(), t_intervals=(), q_curves=(), has_p=False):
+    """The set of these classes, deduplicated and sorted as glued sets are."""
+    pieces = [_piece(c) for c in (*q_points, *t_points, *[Parallelogram()] * has_p)]
+    pieces += [Piece("T", False, i) for i in t_intervals]
+    pieces += [Piece("Q", False, c.betas, c.quotient) for c in q_curves]
+    return _class_set(pieces)
 
 
 @st.composite
@@ -174,7 +184,7 @@ def test_q_flip_absorbed_at_construction():
 
 
 def test_member_interval():
-    s = ClassSet(t_intervals=(Interval(F(1, 10), True, F(1), False),), has_p=True)
+    s = class_set(t_intervals=(Interval(F(1, 10), True, F(1), False),), has_p=True)
     assert member(s, Trapezoid(F(1, 2)), 0)
     assert member(s, Trapezoid(F(1, 10)), 0)
     assert member(s, Parallelogram(), 0)
@@ -182,7 +192,7 @@ def test_member_interval():
 
 
 def test_member_open_endpoint():
-    s = ClassSet(t_intervals=(Interval(F(1, 10), False, F(1), False),))
+    s = class_set(t_intervals=(Interval(F(1, 10), False, F(1), False),))
     assert not member(s, Trapezoid(F(1, 10)), 0)
     # tolerance softens strictness
     assert member(s, Trapezoid(F(1, 10)), 1e-9)
@@ -190,7 +200,7 @@ def test_member_open_endpoint():
 
 def test_member_curve():
     curve = QCurve(F(2, 5), Interval(F(3, 20), False, F(1, 2), False))
-    s = ClassSet(q_curves=(curve,))
+    s = class_set(q_curves=(curve,))
     assert member(s, GenericQuad(F(1, 10), F(1, 4)), 0)
     # beta on the open endpoint
     assert not member(s, GenericQuad(F(1, 5), F(1, 2)), 0)
@@ -215,14 +225,14 @@ def test_member_points():
 def test_signature_kinds_and_quotients():
     # The (kind, quotient) pairs may_hold reads, built from tokens at leaf
     # quotient 2/5, are those of the pieces of a set with these tokens.
-    s = ClassSet(
+    s = class_set(
         q_points=(GenericQuad(F(1, 20), F(5, 16)), GenericQuad(F(1, 10), F(5, 8))),
         t_intervals=(Interval(F(1, 10), False, F(1), False),),
         has_p=True,
     )
     pairs = _token_quotients(frozenset({("Q", 2), ("T",), ("P",)}), F(2, 5))
     assert sorted(pairs) == [("P", 1), ("Q", F(4, 25)), ("T", 1)]
-    assert set(pairs) == {(p.kind, p.quotient) for p in s._unflagged}
+    assert set(pairs) == {(p.kind, p.quotient) for p in s.pieces}
 
 
 def test_may_hold_kinds_and_bound():
@@ -266,7 +276,7 @@ def test_may_hold_is_necessary_for_member_at_points(c, tol, i, j):
 
 def test_compose_sets_q_with_interval():
     q = singleton(GenericQuad(F(1, 5), F(1, 2)))
-    iv = ClassSet(t_intervals=(Interval(F(1, 10), False, F(1), False),))
+    iv = class_set(t_intervals=(Interval(F(1, 10), False, F(1), False),))
     out = compose_sets(q, False, iv, False, Op.DOT)
     assert len(out.q_curves) == 1
     curve = out.q_curves[0]
@@ -277,14 +287,14 @@ def test_compose_sets_q_with_interval():
 
 
 def test_compose_sets_pp():
-    p = ClassSet(has_p=True)
+    p = class_set(has_p=True)
     out = compose_sets(p, False, p, False, Op.DOT)
     assert out.has_p and not out.t_intervals
 
 
 def test_compose_sets_skips_undefined():
     q = singleton(GenericQuad(F(1, 5), F(1, 2)))
-    p = ClassSet(has_p=True)
+    p = class_set(has_p=True)
     out = compose_sets(q, False, p, False, Op.DOT)
     assert not out
 
@@ -368,12 +378,12 @@ def one_piece_set(draw, kind):
     if kind == "Q":
         # as the table makes them: betas stay below 1
         quotient = F(draw(st.integers(1, 11)), 12)
-        return ClassSet(q_curves=(QCurve(quotient, Interval(*draw(unit_span(top=1)))),))
+        return class_set(q_curves=(QCurve(quotient, Interval(*draw(unit_span(top=1)))),))
     if kind == "T" and single:
         return singleton(draw(rational_t(max_den=24)))
     if kind == "T":
-        return ClassSet(t_intervals=(Interval(*draw(unit_span())),))
-    return ClassSet(has_p=True)
+        return class_set(t_intervals=(Interval(*draw(unit_span())),))
+    return class_set(has_p=True)
 
 
 @st.composite
@@ -445,7 +455,7 @@ def test_float_rows_round_trip():
     for left, right in itertools.product(sets, sets):
         for op, left_flip, right_flip in itertools.product(Op, (False, True), (False, True)):
             image = compose_sets(left, left_flip, right, right_flip, op)
-            (a,), (b,) = left._unflagged, right._unflagged
+            (a,), (b,) = left.pieces, right.pieces
             ties += bool(image.t_points) and a.kind == "Q" and a.quotient != b.quotient
             for target in _sample_members(image):
                 cls_l, cls_r = decompose(left, left_flip, right, right_flip, op, target, tol)
@@ -513,7 +523,7 @@ def test_every_glass_cut_is_a_table_row():
         ):
             image = compose_sets(x, fx, y, fy, op)
             if any(member(image, w) for w in wanted):
-                (a,), (b,) = x._flagged if fx else x._unflagged, y._flagged if fy else y._unflagged
+                (a,), (b,) = x._flagged if fx else x.pieces, y._flagged if fy else y.pieces
                 found.add(_TABLE[(op, a.kind, a.flag, b.kind, b.flag)][0].name)
         if not found:
             missing.append((parent, c1, c2))
@@ -548,8 +558,8 @@ def test_row_tokens_match_forward_pieces():
     operands = _token_operands()
     for (x, sx), (y, sy) in itertools.product(operands, operands):
         for op, fx, fy in itertools.product(Op, (False, True), (False, True)):
-            (a,) = sx._flagged if fx else sx._unflagged
-            (b,) = sy._flagged if fy else sy._unflagged
+            (a,) = sx._flagged if fx else sx.pieces
+            (b,) = sy._flagged if fy else sy.pieces
             key = (op, a.kind, a.flag, b.kind, b.flag)
             got = glue_tokens(frozenset({x}), fx, frozenset({y}), fy, op)
             if key not in _TABLE:

@@ -1,7 +1,8 @@
 """Module boundaries: no source module imports another module's private names,
 none uses the per-tree reference path, one function decides quotient ties,
-one function inverts the glueing rows, the CLI prints from one place, and the
-verifier stays independent of the code whose plans it checks."""
+one function inverts the glueing rows, a class set holds only its pieces, the
+CLI prints from one place, and the verifier stays independent of the code
+whose plans it checks."""
 
 from __future__ import annotations
 
@@ -69,6 +70,27 @@ def test_one_function_inverts_the_glueing_rows():
                     for field in node.body
                     if isinstance(field, ast.AnnAssign) and field.target.id == "inverse"
                 ]
+    assert not offenders, "\n".join(offenders)
+
+
+# Class-to-piece converters, which a set that holds its pieces does not need.
+CONVERTERS = {"_pieces_of", "_q_point_holds"}
+
+
+def test_class_set_holds_only_its_pieces():
+    # A ClassSet stores its pieces and reads classes off them as views, so
+    # no function turns a set's classes into pieces or tests a class point.
+    tree = ast.parse((SRC / "composition.py").read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ClassSet"]
+    fields = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+    assert fields == ["pieces"]
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += [
+            f"{path.name}:{n.lineno} defines {n.name}"
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.FunctionDef) and n.name in CONVERTERS
+        ]
     assert not offenders, "\n".join(offenders)
 
 

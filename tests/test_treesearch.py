@@ -34,6 +34,7 @@ from gcdissect import treesearch
 from gcdissect.composition import compose_sets, glue_holds, glue_partners, singleton
 from gcdissect.scalars import quotients_equal
 from gcdissect.treesearch import _expand, _pairs, _with_flags, canonical
+from test_composition import class_set
 
 F = Fraction
 
@@ -352,6 +353,39 @@ def _small_sets(leaf):
     return levels, targets
 
 
+def _views(s):
+    return s.q_points, s.t_points, s.t_intervals, s.q_curves, s.has_p
+
+
+@GLUE_CASES
+def test_views_rebuild_each_set(leaf, tol):
+    # A set read as classes and built again from them has the same views in
+    # the same order, and holds the classes it lists.  It is the same set
+    # when exact; a float Q point's quotient, rebuilt as alpha/beta, may
+    # differ from the glued one by an ulp.
+    levels, _ = _small_sets(leaf)
+    exact = not isinstance(getattr(leaf, "alpha", 0), float)
+    for s in (s for sets in levels.values() for s in sets):
+        rebuilt = class_set(*_views(s))
+        assert _views(rebuilt) == _views(s) and (rebuilt == s or not exact), s
+        assert all(member(s, c) for c in s.members()), s
+
+
+def test_float_points_hold_themselves():
+    # A point's piece keeps alpha/beta as its quotient, and for some floats
+    # (the first class here is one) quotient * beta misses alpha by an ulp:
+    # each class must still be a member of its own set and its one-leaf hit.
+    rng = random.Random(22)
+    classes = [GenericQuad(0.35164240903012256, 0.5266704452974954)]
+    while len(classes) < 2000:
+        a, b = sorted((rng.random(), rng.random()))
+        if 0 < a < b < 1:
+            classes.append(GenericQuad(a, b))
+    for c in classes:
+        assert member(singleton(c), c, 0), c
+        assert [h.witness for h in search_self_affine(c, 1)] == [c], c
+
+
 @GLUE_CASES
 def test_glue_holds_matches_member_of_composed_set(leaf, tol):
     # The last level's piece test against member on the built set, over the
@@ -446,7 +480,7 @@ def test_search_logger_has_no_handlers():
 
 def _signature(s):
     """Sorted, duplicate-free (kind, quotient) of a set's unflagged pieces."""
-    return tuple(sorted({(p.kind, p.quotient) for p in s._unflagged}))
+    return tuple(sorted({(p.kind, p.quotient) for p in s.pieces}))
 
 
 def _same_signature(a, b, exact):
@@ -494,7 +528,7 @@ def test_equal_signatures_glue_to_equal_signatures(leaf):
 def _set_tokens(s, q, k):
     """The tokens of a concrete set's pieces, each Q quotient matched to q^e."""
     out = set()
-    for p in s._unflagged:
+    for p in s.pieces:
         if p.kind != "Q":
             out.add((p.kind,))
             continue
