@@ -36,7 +36,8 @@ ClassSet holds: a Q piece is a quotient with a range of betas, a T piece a
 range of ratios, and a P piece the parallelogram; a single class is the
 degenerate closed range.  A set stores its pieces as on an unflagged edge,
 and _flag moves each onto a flagged one.  A glued Q piece keeps the quotient
-its row computed, so equal sets glue to equal sets.
+its row computed, so equal sets glue to equal sets; a float leaf's are
+powers of its quotient that store their exponent, and Q : Q ties them by it.
 
 A token stands for a set's pieces of one kind and quotient, whatever their
 spans: ("Q", k) for quotient q^k at the leaf's quotient q, ("T",) and ("P",).
@@ -67,7 +68,7 @@ from .affine_types import (
     lerp,
 )
 from .errors import GlueingError, UnrealizableError
-from .scalars import QUOTIENT_TIE_REL, Scalar, is_exact, quotients_equal, scalar_close
+from .scalars import Scalar, is_exact, quotients_equal, scalar_close
 
 
 class Op(Enum):
@@ -193,13 +194,16 @@ class Piece(NamedTuple):
 
     kind "Q" is {Q(quotient*b, b) : b in span}, with the edge flag already
     absorbed into the parameters (flag is always False); kind "T" is
-    {T(g) : g in span}; kind "P" is the parallelogram (span None).
+    {T(g) : g in span}; kind "P" is the parallelogram (span None).  A float
+    leaf's Q pieces are base ** exponent, base its quotient; others have none.
     """
 
     kind: str
     flag: bool
     span: Optional[Span]
     quotient: Scalar = 1
+    base: Optional[float] = None
+    exponent: int = 1
 
 
 # The tokens of T and P pieces, and of a generic leaf's own set.
@@ -310,7 +314,7 @@ def may_hold(signature: tuple, c: AffineClass, tol: Scalar = 0) -> bool:
     Kinds must match; a generic c also needs a quotient Q with |Q - alpha/beta|
     <= 2*tol/(beta - tol), from member's tests |d alpha|, |d beta| <= tol and
     |d Q| <= tol (no bound at tol >= beta).  Exact values compare exactly (==
-    at tol 0), floats in float, widened by the roundoff band QUOTIENT_TIE_REL.
+    at tol 0), floats in float, with no band: pieces store the q ** k tokens name.
     """
     kind = _kind(c)
     quotients = [q for k, q in signature if k == kind]
@@ -318,8 +322,6 @@ def may_hold(signature: tuple, c: AffineClass, tol: Scalar = 0) -> bool:
         return bool(quotients)
     cq = affine_quotient(c)
     bound = 2 * tol / (c.beta - tol) if tol else 0
-    if not all(map(is_exact, (cq, bound, *quotients))):
-        bound = float(bound) * (1 + QUOTIENT_TIE_REL) + QUOTIENT_TIE_REL * float(cq)
     return any(abs(q - cq) <= bound for q in quotients)
 
 
@@ -334,7 +336,8 @@ def _point(x: Scalar) -> Span:
 def _piece(cls: AffineClass) -> Piece:
     """The unflagged piece of one class."""
     if isinstance(cls, GenericQuad):
-        return Piece("Q", False, _point(cls.beta), affine_quotient(cls))
+        q = affine_quotient(cls)
+        return Piece("Q", False, _point(cls.beta), q, None if is_exact(q) else q)
     if isinstance(cls, Trapezoid):
         return Piece("T", False, _point(cls.gamma))
     return _P
@@ -417,9 +420,19 @@ TakeLam = Callable[[], Scalar]
 Cut = tuple[LabeledQuad, LabeledQuad, CutRecord]
 
 
+def _glued_q(span: Span, a: Piece, b: Piece, k: int, quotient: Scalar) -> Piece:
+    """Q piece over span: base ** k if a and b are powers of one base, else quotient."""
+    if a.base is not None and a.base == b.base:
+        return Piece("Q", False, span, a.base ** k, a.base, k)
+    return Piece("Q", False, span, quotient)
+
+
 def _dot(a: Piece, b: Piece) -> tuple[Piece, ...]:
-    # Q . Q, Q . T and T . T: parameters multiply (a T piece has quotient 1)
-    return (Piece(a.kind, False, a.span.times(b.span), a.quotient * b.quotient),)
+    # Q . Q, Q . T and T . T: parameters multiply (a T piece is q^0)
+    span = a.span.times(b.span)
+    if b.kind == "T":
+        return (Piece(a.kind, False, span, a.quotient, a.base, a.exponent),)
+    return (_glued_q(span, a, b, a.exponent + b.exponent, a.quotient * b.quotient),)
 
 
 def _dot_tokens(a: tuple, b: tuple) -> tuple[tuple, ...]:
@@ -448,12 +461,14 @@ def _cut_apex(parent: LabeledQuad, left, right, take_lam: TakeLam) -> Cut:
 
 
 def _colon_qq(a: Piece, b: Piece) -> tuple[Piece, ...]:
-    # betas scale by m = max(q1, q2), as in _inverse, also at a float tie
+    # betas scale by m = max(q1, q2), as in _inverse, also at a float tie;
+    # powers of one base tie by exponent, other quotients by quotients_equal
     lo, hi = sorted((a.quotient, b.quotient))
     betas = a.span.times(b.span).scaled(hi)
-    if quotients_equal(lo, hi):
+    shared = a.base is not None and a.base == b.base
+    if a.exponent == b.exponent if shared else quotients_equal(lo, hi):
         return (_t(betas),)
-    return (Piece("Q", False, betas, lo / hi),)
+    return (_glued_q(betas, a, b, abs(a.exponent - b.exponent), lo / hi),)
 
 
 def _colon_qq_tokens(a: tuple, b: tuple) -> tuple[tuple, ...]:

@@ -16,9 +16,10 @@ from typing import Union
 
 Scalar = Union[Fraction, int, float]
 
-# Relative width of the tie band when comparing float quotients in the colon
-# rule.  Flipped float parameters reproduce the quotient only to roundoff, so
-# an exact == would misread "equal quotients" as a two-sided split.
+# Relative width of the tie band when the colon rule compares the quotients
+# of two different float classes.  Flipped float parameters reproduce the
+# quotient only to roundoff, so an exact == would misread "equal quotients"
+# as a two-sided split.  Powers of one float class tie by exponent instead.
 QUOTIENT_TIE_REL = 1e-12
 
 
@@ -54,7 +55,7 @@ def scalar_close(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
 
 def quotients_equal(u: Scalar, v: Scalar) -> bool:
     """u == v for exact values; for floats, equal within the relative band
-    QUOTIENT_TIE_REL, which decides ties between glued quotients."""
+    QUOTIENT_TIE_REL, which ties the quotients of two different float classes."""
     if is_exact(u) and is_exact(v):
         return u == v
     uf, vf = float(u), float(v)

@@ -46,7 +46,6 @@ from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, 
 from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, compose_sets, glue_tokens
 from .composition import glue_holds, glue_partners, may_hold, member, singleton
 from .errors import SearchCapError
-from .scalars import QUOTIENT_TIE_REL, is_exact
 
 DEFAULT_SEARCH_CAP = 8
 CAP_ENV_VAR = "GCDISSECT_SEARCH_CAP"
@@ -363,7 +362,7 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     return hits
 
 
-def _token_pass(seed, n: int, glue=glue_tokens) -> tuple[list, list]:
+def _token_pass(seed, n: int) -> tuple[list, list]:
     """Per level k, ids[k] (token set -> id, in order of first appearance) and
     moves[k] ((k1, id1, f1, id2, f2, op) -> glued id) over every ordered pair
     of flagged token sets of levels k1 and k - k1; empty glued sets drop."""
@@ -375,7 +374,7 @@ def _token_pass(seed, n: int, glue=glue_tokens) -> tuple[list, list]:
             for (r1, i1), f1, (r2, i2), f2 in itertools.product(
                 ids[k1].items(), (False, True), ids[k - k1].items(), (False, True)
             ):
-                root = glue(r1, f1, r2, f2, op)
+                root = glue_tokens(r1, f1, r2, f2, op)
                 if root:
                     moves[k][(k1, i1, f1, i2, f2, op)] = ids[k].setdefault(root, len(ids[k]))
     return ids, moves
@@ -391,12 +390,6 @@ def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list
     token pass seeded with the leaf's kind, and marked[k], the moves on a
     path to a level-n token set whose quotients pass may_hold."""
     q = affine_quotient(leaf)
-    if not is_exact(q) and 1 - q <= 2 * QUOTIENT_TIE_REL:
-        # q^j and q^k are 1 - q apart (relative), so the colon's float tie
-        # band (doubled, for roundoff) may tie them at j != k where tokens
-        # do not: one token that every glue keeps, every move marked.
-        ids, moves = _token_pass(True, n, lambda *_: True)
-        return ids, moves, moves
     kind = T_TOKEN if isinstance(leaf, Trapezoid) else P_TOKEN
     seed = LEAF_TOKENS if isinstance(leaf, GenericQuad) else frozenset({kind})
     ids, moves = _token_pass(seed, n)

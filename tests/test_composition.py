@@ -249,9 +249,12 @@ def test_may_hold_kinds_and_bound():
     assert may_hold((("Q", F(1, 10**6)),), c, F(1, 2))
 
 
-def test_may_hold_widens_float_quotients_by_roundoff():
+def test_may_hold_compares_float_quotients_without_a_band():
+    # A float leaf's pieces store q ** k, the quotient their token names, so
+    # at tol 0 a float quotient must equal alpha/beta: one ulp off fails.
     c = GenericQuad(0.2, 0.5)
-    assert may_hold((("Q", math.nextafter(0.2 / 0.5, 1)),), c, 0)
+    assert may_hold((("Q", 0.2 / 0.5),), c, 0)
+    assert not may_hold((("Q", math.nextafter(0.2 / 0.5, 1)),), c, 0)
     assert not may_hold((("Q", 0.2 / 0.5 * (1 + 1e-9)),), c, 0)
 
 

@@ -42,6 +42,8 @@ def test_no_source_module_uses_the_per_tree_path():
 def test_only_the_colon_row_decides_quotient_ties():
     # The Q : Q tie is decided in one place, composition._colon_qq: the
     # inverse reads it from the forward piece, the colon cut from the parent.
+    # The tie band itself stays in scalars.py: no search mode or membership
+    # bound of its own widens float quotients by it.
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -52,6 +54,8 @@ def test_only_the_colon_row_decides_quotient_ties():
                 for node in ast.walk(top)
                 if (getattr(node, "id", None) or getattr(node, "attr", None)) == "quotients_equal"
             ]
+        if path.name != "scalars.py" and "QUOTIENT_TIE_REL" in path.read_text(encoding="utf-8"):
+            offenders.append(f"{path.name} names QUOTIENT_TIE_REL")
     assert not offenders, "\n".join(offenders)
 
 

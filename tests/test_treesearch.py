@@ -32,7 +32,6 @@ from gcdissect import (
 )
 from gcdissect import treesearch
 from gcdissect.composition import compose_sets, glue_holds, glue_partners, singleton
-from gcdissect.scalars import quotients_equal
 from gcdissect.treesearch import _expand, _pairs, _with_flags, canonical
 from test_composition import class_set
 
@@ -282,11 +281,11 @@ def _criterion_3_classes(count):
 
 
 # The kite at n = 7 (108 hits) pairs sets of odd sizes the n <= 6 cases do not.
-# Near-unit float quotients: the colon's 1e-12 tie band can tie q^j and q^k at
-# j != k, which tokens never do (q = 1 - 2e-13 misses 33 hits at n = 6 unless
-# the search glues every pair there).  At q = 1 - 3e-12 and n = 6, flipping a
-# short curve's betas rounds its two ends past each other.  The family III and
-# IV points take an exact alpha and a float beta, as the decide workload's do.
+# Near-unit float quotients: q^j and q^k at j != k lie within the colon's float
+# tie band, but pieces of one leaf tie by exponent, as tokens do, so q = 1 -
+# 2e-13 has no hit at even n.  At q = 1 - 3e-12 and n = 6, flipping a short
+# curve's betas rounds its two ends past each other.  The family III and IV
+# points take an exact alpha and a float beta, as the decide workload's do.
 @pytest.mark.parametrize(
     "leaf, tol, top",
     [
@@ -317,6 +316,28 @@ def test_search_matches_unfiltered_level_loop(leaf, tol, top):
     for n in range(1, top + 1):
         got = [(h.tree.key, h.root_set, h.witness) for h in search_self_affine(leaf, n, tol)]
         assert got == _unfiltered_hits(leaf, n, tol), n
+
+
+# A float leaf's pieces are powers of its quotient, tied by exponent, so its
+# hits are those of the same two numbers as Fractions, also near q = 1, where
+# the colon's float tie band would tie unequal exponents.
+@pytest.mark.parametrize(
+    "leaf, tol, ns",
+    [
+        (GenericQuad(0.5, 0.5 + 1e-13), 0, range(1, 7)),
+        (GenericQuad(0.5, 0.5 + 1e-13), 1e-9, [5]),
+        (GenericQuad(0.3, 0.3 + 1e-12), 0, range(1, 7)),
+        *((GenericQuad(F(1, 2), family_beta(fam, F(1, 2))), 1e-9, [5])
+          for fam in (FamilyId.II, FamilyId.III, FamilyId.IV)),
+    ],
+    ids=["near-unit-13", "near-unit-13-tol", "near-unit-12", "family-II", "family-III",
+         "family-IV"],
+)
+def test_float_hits_match_their_fraction_values(leaf, tol, ns):
+    exact = GenericQuad(F(leaf.alpha), F(leaf.beta))
+    for n in ns:
+        got = {h.tree.key for h in search_self_affine(leaf, n, tol)}
+        assert got == {h.tree.key for h in search_self_affine(exact, n, tol)}, n
 
 
 # The small sets of these classes exercise every row, point and span pieces,
@@ -483,17 +504,6 @@ def _signature(s):
     return tuple(sorted({(p.kind, p.quotient) for p in s.pieces}))
 
 
-def _same_signature(a, b, exact):
-    """Equal signatures; float quotients may differ by roundoff."""
-    if exact:
-        return a == b
-    return all(
-        any(ka == kb and quotients_equal(qa, qb) for kb, qb in other)
-        for one, other in ((a, b), (b, a))
-        for ka, qa in one
-    )
-
-
 @pytest.mark.parametrize(
     "leaf",
     [
@@ -516,13 +526,12 @@ def test_equal_signatures_glue_to_equal_signatures(leaf):
     for s in sets:
         by_signature.setdefault(_signature(s), []).append(s)
     sample = [s for group in by_signature.values() for s in group[:6]]
-    exact = not isinstance(getattr(leaf, "alpha", 0), float)
     roots = {}
     for a, b in itertools.product(sample, sample):
         for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
             got = _signature(compose_sets(a, f1, b, f2, op))
             want = roots.setdefault((_signature(a), f1, _signature(b), f2, op), got)
-            assert _same_signature(got, want, exact), (a, f1, b, f2, op)
+            assert got == want, (a, f1, b, f2, op)
 
 
 def _set_tokens(s, q, k):
@@ -532,7 +541,7 @@ def _set_tokens(s, q, k):
         if p.kind != "Q":
             out.add((p.kind,))
             continue
-        (e,) = [e for e in range(1, k + 1) if quotients_equal(q**e, p.quotient)]
+        (e,) = [e for e in range(1, k + 1) if q**e == p.quotient]
         out.add(("Q", e))
     return frozenset(out)
 
@@ -545,8 +554,9 @@ def _set_tokens(s, q, k):
         (Trapezoid(F(1, 3)), 0),
         (Parallelogram(), 0),
         (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9),
+        (GenericQuad(0.5, 0.5 + 1e-13), 0),
     ],
-    ids=["generic", "kite", "trapezoid", "parallelogram", "family-II"],
+    ids=["generic", "kite", "trapezoid", "parallelogram", "family-II", "near-unit-13"],
 )
 def test_marked_moves_give_each_set_one_token_id(leaf, tol):
     # The set pass gives a glued set the token id of the move that made it.
