@@ -35,7 +35,7 @@ from .affine_types import (
     classify_quadrangle,
     flip,
 )
-from .composition import ClassSet, ClassTerm, Interval, Op, combine
+from .composition import ClassSet, Interval, Op, combine
 from .errors import GcError, PlanFormatError, UnrealizableError
 from .families import FamilyId, family_beta
 from .realizer import (
@@ -558,10 +558,8 @@ def _cmd_flip(args) -> tuple[int, object]:
 
 
 def _cmd_compose(args) -> tuple[int, object]:
-    left = ClassTerm(args.left, args.flip_left)
-    right = ClassTerm(args.right, args.flip_right)
     op = Op.DOT if args.op == "dot" else Op.COLON
-    return 0, class_set_to_doc(combine(left, right, op))
+    return 0, class_set_to_doc(combine(args.left, args.flip_left, args.right, args.flip_right, op))
 
 
 def _cmd_search(args) -> tuple[int, object]:

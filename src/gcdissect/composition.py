@@ -18,26 +18,27 @@ complete table is:
     P          . P           -> P
 
 Mirror placement of a Q tile is not tracked with a flag: it is the same as
-using the flipped parameters, so ClassTerm normalizes it away.  For T and P
-tiles the flag is real (it decides whether glueing happens along constant
-sides) and undefined rows raise GlueingError.
+using the flipped parameters, so a flagged Q piece flips its betas.  For T
+and P tiles the flag is real (it decides whether glueing happens along
+constant sides) and undefined rows raise GlueingError.
 
 Each row is written once, in ROWS: its forward image (compose_sets,
 combine), its cut geometry, which places the two children inside a
-concrete parent quad (cut_quad), its token image (glue_tokens), and on
-the four product rows (Q . Q, Q : Q, Q . T, T . T) a factor: they glue
-single values a, b to a*b*m with m = max(factor(a), factor(b)).  The
-inverse, which picks operand classes that glue to a given parent class
-(decompose), is no column: a product row's follows from its forward piece
-and that m, and the factor also bounds the last level's lookup windows
-(glue_partners); the mirror rows and P . P test a few members of each
-operand against their forward image.  Rows work on pieces, which is what a
-ClassSet holds: a Q piece is a quotient with a range of betas, a T piece a
-range of ratios, and a P piece the parallelogram; a single class is the
-degenerate closed range.  A set stores its pieces as on an unflagged edge,
-and _flag moves each onto a flagged one.  A glued Q piece keeps the quotient
-its row computed, so equal sets glue to equal sets; a float leaf's are
-powers of its quotient that store their exponent, and Q : Q ties them by it.
+concrete parent quad, its token image (glue_tokens), and on the four
+product rows (Q . Q, Q : Q, Q . T, T . T) a factor: they glue single
+values a, b to a*b*m with m = max(factor(a), factor(b)).  decompose picks
+operand classes that glue to a given parent quad's class and cuts it with
+the row it solved; cut_quad cuts with no such check.  The inverse is no
+column: a product row's follows from its forward piece and that m, and the
+factor also bounds the last level's lookup windows (glue_partners); the
+mirror rows and P . P test a few members of each operand against their
+forward image.  Rows work on pieces, which is what a ClassSet holds: a Q
+piece is a quotient with a range of betas, a T piece a range of ratios, and
+a P piece the parallelogram; a single class is the degenerate closed range.
+A set stores its pieces as on an unflagged edge, and _flag moves each onto
+a flagged one.  A glued Q piece keeps the quotient its row computed, so
+equal sets glue to equal sets; a float leaf's are powers of its quotient
+that store their exponent, and Q : Q ties them by it.
 
 A token stands for a set's pieces of one kind and quotient, whatever their
 spans: ("Q", k) for quotient q^k at the leaf's quotient q, ("T",) and ("P",).
@@ -80,23 +81,6 @@ class Op(Enum):
     @property
     def symbol(self) -> str:
         return "." if self is Op.DOT else ":"
-
-
-@dataclass(frozen=True)
-class ClassTerm:
-    """A class with a mirror flag, as it appears on a tree edge.
-
-    Q-classes absorb the flag into their parameters at construction; for T
-    and P the flag is kept and interpreted by the glueing table.
-    """
-
-    cls: AffineClass
-    flipped: bool = False
-
-    def __post_init__(self) -> None:
-        if isinstance(self.cls, GenericQuad) and self.flipped:
-            object.__setattr__(self, "cls", flip(self.cls))
-            object.__setattr__(self, "flipped", False)
 
 
 class Span(NamedTuple):
@@ -628,11 +612,15 @@ for _row in ROWS:
     _TABLE.setdefault((_row.op, *_row.right, *_row.left), (_row, True))
 
 
-def _lookup(op: Op, left: ClassTerm, right: ClassTerm) -> tuple[Row, bool]:
-    a, b = (_flag(_piece(t.cls)) if t.flipped else _piece(t.cls) for t in (left, right))
-    found = _TABLE.get((op, a.kind, a.flag, b.kind, b.flag))
+def _lookup(
+    op: Op, left: AffineClass, left_flip: bool, right: AffineClass, right_flip: bool
+) -> tuple[Row, bool]:
+    # as on pieces, a Q operand's flag is absorbed into its parameters
+    ka, kb = _kind(left), _kind(right)
+    fa, fb = left_flip and ka != "Q", right_flip and kb != "Q"
+    found = _TABLE.get((op, ka, fa, kb, fb))
     if found is None:
-        pattern = f"{a.kind}{'^F' * a.flag} {op.symbol} {b.kind}{'^F' * b.flag}"
+        pattern = f"{ka}{'^F' * fa} {op.symbol} {kb}{'^F' * fb}"
         raise GlueingError(
             f"no glueing row for {pattern}; the rows are {', '.join(r.name for r in ROWS)}"
         )
@@ -695,17 +683,17 @@ def _row_pairs(
 # the table applied: forward, inverse, cut, tokens
 
 
-def combine(left: ClassTerm, right: ClassTerm, op: Op) -> ClassSet:
-    """One table row applied to two single-class terms.
+def combine(
+    left: AffineClass, left_flipped: bool, right: AffineClass, right_flipped: bool, op: Op
+) -> ClassSet:
+    """One table row applied to two classes, given with their edge flags.
 
     Returns the set of possible parent classes (a singleton for the
     determinate rows, an interval-with-P for the mirror trapezoid rows).
     Undefined patterns raise GlueingError naming the pattern.
     """
-    _lookup(op, left, right)
-    return compose_sets(
-        singleton(left.cls), left.flipped, singleton(right.cls), right.flipped, op
-    )
+    _lookup(op, left, left_flipped, right, right_flipped)
+    return compose_sets(singleton(left), left_flipped, singleton(right), right_flipped, op)
 
 
 def compose_sets(
@@ -783,28 +771,45 @@ def glue_partners(
     return partners
 
 
+def _cut(
+    row: Row, parent: LabeledQuad, left: AffineClass, left_flip: bool,
+    right: AffineClass, right_flip: bool, take_lam: TakeLam,
+) -> Cut:
+    """row's cut of parent into the effective classes left and right; a
+    generic child on a flagged edge comes back mirror-labeled."""
+    child_l, child_r, cut = row.cut(parent, left, right, take_lam)
+    if left_flip and isinstance(left, GenericQuad):
+        child_l = child_l.mirrored()
+    if right_flip and isinstance(right, GenericQuad):
+        child_r = child_r.mirrored()
+    return child_l, child_r, cut
+
+
 def decompose(
     left: ClassSet,
     left_flipped: bool,
     right: ClassSet,
     right_flipped: bool,
     op: Op,
-    parent: AffineClass,
+    parent: LabeledQuad,
     tol: Scalar = 0,
-) -> tuple[AffineClass, AffineClass]:
-    """Inverse of compose_sets at one parent class.
+    take_lam: TakeLam = lambda: Fraction(1),
+) -> Cut:
+    """Inverse of compose_sets at one parent quad, and its cut.
 
-    Picks a member of each operand set, as the class its subtree carries
-    (before the edge flag), such that glueing them can produce parent.
+    Picks a member of each operand set such that glueing them can produce
+    parent's class, and cuts parent with the same row, as cut_quad does:
+    each child carries the member its subtree has (before the edge flag),
+    mirror-labeled where a generic one sits on a flagged edge.
     Deterministic: pieces are tried in the order the sets store them and
     the first success wins.  Raises UnrealizableError when no pair works.
     """
     for row, swapped, a, b in _row_pairs(left, left_flipped, right, right_flipped, op):
-        pair = _inverse(row, a, b, parent, tol)
+        pair = _inverse(row, a, b, parent.cls, tol)
         if pair:
             eff_l, eff_r = pair[::-1] if swapped else pair
-            return ClassTerm(eff_l, left_flipped).cls, ClassTerm(eff_r, right_flipped).cls
-    raise UnrealizableError(f"no operand choice glues to {parent} at this node")
+            return _cut(row, parent, eff_l, left_flipped, eff_r, right_flipped, take_lam)
+    raise UnrealizableError(f"no operand choice glues to {parent.cls} at this node")
 
 
 def glue_tokens(
@@ -840,11 +845,9 @@ def cut_quad(
     back in (left, right) order, mirror-labeled where a generic class sits
     on a flagged edge.
     """
-    term_l, term_r = ClassTerm(left, left_flip), ClassTerm(right, right_flip)
-    row = _lookup(op, term_l, term_r)[0]
-    child_l, child_r, cut = row.cut(parent, term_l.cls, term_r.cls, take_lam)
+    row = _lookup(op, left, left_flip, right, right_flip)[0]
     if left_flip and isinstance(left, GenericQuad):
-        child_l = child_l.mirrored()
+        left = flip(left)
     if right_flip and isinstance(right, GenericQuad):
-        child_r = child_r.mirrored()
-    return child_l, child_r, cut
+        right = flip(right)
+    return _cut(row, parent, left, left_flip, right, right_flip, take_lam)

@@ -3,9 +3,9 @@
 A realized dissection is a DissectionPlan: a root quadrangle with labeled
 vertices, the tiles that cover it, and the cut segments that produced them.
 realize_tree walks a cut tree top down, in pre-order on an explicit stack;
-at every node the glueing table's inverse (composition.decompose) picks
-concrete operand classes and the row's cut geometry (composition.cut_quad)
-places them, one tile per leaf.
+at every node composition.decompose picks concrete operand classes from the
+glueing table's inverse and cuts the node's quad with the same row, one
+tile per leaf.
 The dissect_* functions package the known recipes (pair chains for
 trapezoids, odd tile counts, fans, and the two recipes that give up the
 opposite-side cut discipline) as plans; the last two need exact p/q
@@ -42,15 +42,7 @@ from .affine_types import (
     vscale,
     vsub,
 )
-from .composition import (
-    ClassSet,
-    ClassTerm,
-    Op,
-    combine,
-    cut_quad,
-    decompose,
-    member,
-)
+from .composition import ClassSet, Op, cut_quad, decompose, member
 from .errors import UnrealizableError
 from .scalars import Scalar, exactify, scalar_close
 from .treesearch import LEAF, ExtTree, Leaf, Node, evaluate
@@ -121,43 +113,6 @@ def _meet(p: Point, q: Point, r: Point, s: Point) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# one cut
-
-
-def realize_cut(
-    parent: LabeledQuad,
-    op: Op,
-    left: AffineClass,
-    left_flip: bool,
-    right: AffineClass,
-    right_flip: bool,
-    lam: Union[Scalar, None] = None,
-) -> tuple[LabeledQuad, LabeledQuad, CutRecord]:
-    """Subdivide parent by one glueing step into two labeled children.
-
-    left and right are the classes the two pieces must have, with their
-    mirror flags as they would appear on the tree edges.  The composition of
-    the two classes must contain the parent's class; lam pins the cut
-    position in the cases where it is free (defaults to an even split).
-    Children are returned in (left, right) order; the cut runs between
-    opposite sides of the parent.
-    """
-    tol = _auto_tol(parent.cls, left, right)
-    result = combine(ClassTerm(left, left_flip), ClassTerm(right, right_flip), op)
-    if not member(result, parent.cls, tol):
-        raise UnrealizableError(f"glueing {left} and {right} cannot produce {parent.cls}")
-    return cut_quad(
-        parent,
-        op,
-        left,
-        left_flip,
-        right,
-        right_flip,
-        take_lam=lambda: Fraction(1) if lam is None else lam,
-    )
-
-
-# ---------------------------------------------------------------------------
 # whole-tree realization
 
 
@@ -167,14 +122,13 @@ def _realize_into(
     root_quad: LabeledQuad,
     pinned: Iterable[Scalar],
     tol: Scalar,
-    cache: Union[dict[str, ClassSet], None] = None,
 ) -> tuple[list[LabeledQuad], list[CutRecord], list[Scalar]]:
     """(tiles, cuts, ratios used) of t realized inside root_quad.
 
     The walk is pre-order, left before right, with an explicit stack, and
     the free-ratio cuts take the pinned values in that order.
     """
-    cache = {} if cache is None else cache
+    cache: dict[str, ClassSet] = {}
     if not member(evaluate(t, leaf, cache), root_quad.cls, tol):
         raise UnrealizableError(
             f"tree cannot produce {root_quad.cls} from copies of {leaf}"
@@ -194,13 +148,10 @@ def _realize_into(
         if isinstance(node, Leaf):
             tiles.append(_ccw(quad))
             continue
-        set_l = evaluate(node.left, leaf, cache)
-        set_r = evaluate(node.right, leaf, cache)
-        cls_l, cls_r = decompose(
-            set_l, node.left_flip, set_r, node.right_flip, node.op, quad.cls, tol
-        )
-        child_l, child_r, cut = cut_quad(
-            quad, node.op, cls_l, node.left_flip, cls_r, node.right_flip, take_lam
+        child_l, child_r, cut = decompose(
+            evaluate(node.left, leaf, cache), node.left_flip,
+            evaluate(node.right, leaf, cache), node.right_flip,
+            node.op, quad, tol, take_lam,
         )
         cuts.append(cut)
         stack += [(node.right, child_r), (node.left, child_l)]
@@ -215,42 +166,22 @@ def realize_tree(
     t: ExtTree,
     leaf: AffineClass,
     pinned: Iterable[Scalar] = (),
-    root: Union[AffineClass, None] = None,
+    *,
+    root: AffineClass,
     tol: Union[Scalar, None] = None,
 ) -> DissectionPlan:
     """Concrete coordinates for a cut tree over one leaf class.
 
-    The root is placed at standard_placement of its class: the leaf itself,
-    its flip, or an explicit root override that the tree's class set must
-    contain.  pinned supplies cut positions for the free-ratio cuts in the
-    order the walk meets them (missing values default to 1, an even split).
-    Raises UnrealizableError when the tree cannot produce the root class.
+    The root is placed at standard_placement of root, a class that the
+    tree's class set must contain (the leaf itself, its flip, or a search
+    hit's witness).  pinned supplies cut positions for the free-ratio cuts
+    in the order the walk meets them (missing values default to 1, an even
+    split).  Raises UnrealizableError when the tree cannot produce root.
     """
     if tol is None:
-        tol = _auto_tol(leaf) if root is None else _auto_tol(leaf, root)
-    cache: dict[str, ClassSet] = {}
-    if root is None:
-        root_set = evaluate(t, leaf, cache)
-        candidates: list[AffineClass] = [leaf]
-        if isinstance(leaf, GenericQuad):
-            other = flip(leaf)
-            if other != leaf:
-                candidates.append(other)
-        for cand in candidates:
-            if member(root_set, cand, tol):
-                root = cand
-                break
-        else:
-            points = list(root_set.members())
-            if len(points) == len(root_set.pieces) == 1:
-                # Not self-affine, but the tree admits exactly one root class.
-                root = points[0]
-            else:
-                raise UnrealizableError(
-                    f"tree cannot reproduce {leaf} or its flip at the root"
-                )
+        tol = _auto_tol(leaf, root)
     root_quad = standard_placement(root)
-    tiles, cuts, used = _realize_into(t, leaf, root_quad, pinned, tol, cache)
+    tiles, cuts, used = _realize_into(t, leaf, root_quad, pinned, tol)
     return DissectionPlan(
         root=root_quad,
         tiles=tuple(tiles),

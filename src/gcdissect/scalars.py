@@ -95,7 +95,7 @@ def scalar_from_json(obj: object) -> Scalar:
     try:
         if isinstance(obj, str):
             return Fraction(obj)
-        if isinstance(obj, dict) and set(obj) >= {"dec"}:
+        if isinstance(obj, dict) and set(obj) >= {"dec"} and not isinstance(obj["dec"], bool):
             return _finite(float(obj["dec"]), obj)
         if is_exact(obj):
             return Fraction(obj)

@@ -402,6 +402,10 @@ def _set_first_coordinate(doc):
     doc["root"][0][0] = False  # the coordinate is 0/1 already
 
 
+def _set_first_coordinate_dec(doc):
+    doc["root"][0][0] = {"dec": True}  # read as a float, true would be 1.0
+
+
 def _set_start_side(doc):
     doc["cuts"][0]["start_side"] = False  # the side is 0 already
 
@@ -415,12 +419,13 @@ def _set_start_side(doc):
         (dissect_odd(Q_GENERIC, 5), lambda doc: doc.update(tree={"leaf": "yes"})),
         (dissect_odd(Q_GENERIC, 5), lambda doc: doc.update(pinned=[True])),
         (dissect_odd(Q_GENERIC, 5), _set_first_coordinate),
+        (dissect_odd(Q_GENERIC, 5), _set_first_coordinate_dec),
         (dissect_odd(Q_GENERIC, 5), lambda doc: doc.update(tol=True)),
         (dissect_odd(Q_GENERIC, 5), _set_start_side),
     ],
     ids=[
         "gc-string", "gc-int", "flip-int", "leaf-string", "pinned-bool",
-        "coordinate-bool", "tol-bool", "side-bool",
+        "coordinate-bool", "coordinate-dec-bool", "tol-bool", "side-bool",
     ],
 )
 def test_cli_plan_documents_keep_booleans_and_numbers_apart(capsys, tmp_path, plan, change):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gcdissect import (
-    ClassTerm,
     GenericQuad,
     GlueingError,
     Interval,
@@ -43,6 +42,7 @@ from gcdissect.composition import (
     T_TOKEN,
     Piece,
     _class_set,
+    _flag,
     _piece,
     cut_quad,
     decompose,
@@ -53,10 +53,6 @@ from gcdissect.composition import (
 from gcdissect.treesearch import _token_quotients
 
 F = Fraction
-
-
-def term(cls, flipped=False):
-    return ClassTerm(cls, flipped)
 
 
 def class_set(q_points=(), t_points=(), t_intervals=(), q_curves=(), has_p=False):
@@ -87,43 +83,46 @@ def rational_t(draw, max_den=60):
 
 
 def test_qq_dot():
-    s = combine(term(GenericQuad(F(1, 5), F(1, 2))), term(GenericQuad(F(1, 4), F(5, 8))), Op.DOT)
+    s = combine(GenericQuad(F(1, 5), F(1, 2)), False, GenericQuad(F(1, 4), F(5, 8)), False, Op.DOT)
     assert s.q_points == (GenericQuad(F(1, 20), F(5, 16)),)
     assert not (s.t_points or s.t_intervals or s.q_curves or s.has_p)
 
 
 def test_qq_colon_equal_quotients():
-    s = combine(term(GenericQuad(F(1, 5), F(1, 2))), term(GenericQuad(F(1, 5), F(1, 2))), Op.COLON)
+    q = GenericQuad(F(1, 5), F(1, 2))
+    s = combine(q, False, q, False, Op.COLON)
     assert s.t_points == (Trapezoid(F(1, 10)),)
     assert not (s.q_points or s.t_intervals or s.q_curves or s.has_p)
 
 
 def test_qq_colon_unequal_quotients():
-    s = combine(term(GenericQuad(F(1, 5), F(1, 2))), term(GenericQuad(F(3, 10), F(3, 5))), Op.COLON)
+    s = combine(
+        GenericQuad(F(1, 5), F(1, 2)), False, GenericQuad(F(3, 10), F(3, 5)), False, Op.COLON
+    )
     assert s.q_points == (GenericQuad(F(3, 25), F(3, 20)),)
 
 
 def test_qt_dot():
-    s = combine(term(GenericQuad(F(1, 5), F(1, 2))), term(Trapezoid(F(1, 10))), Op.DOT)
+    s = combine(GenericQuad(F(1, 5), F(1, 2)), False, Trapezoid(F(1, 10)), False, Op.DOT)
     assert s.q_points == (GenericQuad(F(1, 50), F(1, 20)),)
     # commutative in the operands
-    assert combine(term(Trapezoid(F(1, 10))), term(GenericQuad(F(1, 5), F(1, 2))), Op.DOT) == s
+    assert combine(Trapezoid(F(1, 10)), False, GenericQuad(F(1, 5), F(1, 2)), False, Op.DOT) == s
 
 
 def test_tt_dot_unflagged():
-    s = combine(term(Trapezoid(F(1, 10))), term(Trapezoid(F(1, 10))), Op.DOT)
+    s = combine(Trapezoid(F(1, 10)), False, Trapezoid(F(1, 10)), False, Op.DOT)
     assert s.t_points == (Trapezoid(F(1, 100)),)
 
 
 def test_tt_dot_flagged_equal():
-    s = combine(term(Trapezoid(F(1, 10)), True), term(Trapezoid(F(1, 10)), True), Op.DOT)
+    s = combine(Trapezoid(F(1, 10)), True, Trapezoid(F(1, 10)), True, Op.DOT)
     assert s.t_intervals == (Interval(F(1, 10), True, F(1), False),)
     assert s.has_p
     assert not (s.q_points or s.t_points or s.q_curves)
 
 
 def test_tt_dot_flagged_unequal_open_at_min():
-    s = combine(term(Trapezoid(F(1, 10)), True), term(Trapezoid(F(1, 2)), True), Op.DOT)
+    s = combine(Trapezoid(F(1, 10)), True, Trapezoid(F(1, 2)), True, Op.DOT)
     assert s.t_intervals == (Interval(F(1, 10), False, F(1), False),)
     assert s.has_p
 
@@ -136,47 +135,48 @@ def test_decompose_refuses_an_open_end_at_every_tol(tol):
     with pytest.raises(UnrealizableError):
         decompose(
             singleton(Trapezoid(F(5, 6))), True, singleton(Trapezoid(F(1, 30))), True,
-            Op.DOT, Trapezoid(F(1, 30)), tol,
+            Op.DOT, standard_placement(Trapezoid(F(1, 30))), tol,
         )
 
 
 def test_tp_dot_flagged():
-    s = combine(term(Trapezoid(F(3, 10)), True), term(Parallelogram(), False), Op.DOT)
+    s = combine(Trapezoid(F(3, 10)), True, Parallelogram(), False, Op.DOT)
     assert s.t_intervals == (Interval(F(3, 10), False, F(1), False),)
     assert not s.has_p
 
 
 def test_pp_dot():
-    s = combine(term(Parallelogram()), term(Parallelogram()), Op.DOT)
+    s = combine(Parallelogram(), False, Parallelogram(), False, Op.DOT)
     assert s.has_p and not (s.q_points or s.t_points or s.t_intervals or s.q_curves)
 
 
 def test_forbidden_patterns():
-    q = term(GenericQuad(F(1, 5), F(1, 2)))
-    t = term(Trapezoid(F(1, 10)))
-    p = term(Parallelogram())
+    q = GenericQuad(F(1, 5), F(1, 2)), False
+    t = Trapezoid(F(1, 10)), False
+    p = Parallelogram(), False
     with pytest.raises(GlueingError):
-        combine(q, p, Op.DOT)
+        combine(*q, *p, Op.DOT)
     with pytest.raises(GlueingError):
-        combine(q, t, Op.COLON)
+        combine(*q, *t, Op.COLON)
     with pytest.raises(GlueingError):
-        combine(t, t, Op.COLON)
+        combine(*t, *t, Op.COLON)
     with pytest.raises(GlueingError):
-        combine(p, p, Op.COLON)
+        combine(*p, *p, Op.COLON)
     # mixed flag on the T dot row
     with pytest.raises(GlueingError):
-        combine(term(Trapezoid(F(1, 10)), True), term(Trapezoid(F(1, 10)), False), Op.DOT)
+        combine(Trapezoid(F(1, 10)), True, Trapezoid(F(1, 10)), False, Op.DOT)
     # flagged parallelogram pair
     with pytest.raises(GlueingError):
-        combine(term(Parallelogram(), True), term(Parallelogram(), True), Op.DOT)
+        combine(Parallelogram(), True, Parallelogram(), True, Op.DOT)
     # Q dot T with flag on the trapezoid
     with pytest.raises(GlueingError):
-        combine(q, term(Trapezoid(F(1, 10)), True), Op.DOT)
+        combine(*q, Trapezoid(F(1, 10)), True, Op.DOT)
 
 
 def test_q_flip_absorbed_at_construction():
+    # a Q piece on a flagged edge is the piece of the flipped class, unflagged
     q = GenericQuad(F(1, 5), F(1, 2))
-    assert term(q, True) == term(flip(q), False)
+    assert _flag(_piece(q)) == _piece(flip(q))
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +308,19 @@ def test_compose_sets_skips_undefined():
 
 @given(rational_q(), rational_q(), st.sampled_from([Op.DOT, Op.COLON]))
 def test_commutativity(q1, q2, op):
-    assert combine(term(q1), term(q2), op) == combine(term(q2), term(q1), op)
+    assert combine(q1, False, q2, False, op) == combine(q2, False, q1, False, op)
 
 
 @given(rational_q(), rational_q())
 def test_dot_quotient_law(q1, q2):
-    s = combine(term(q1), term(q2), Op.DOT)
+    s = combine(q1, False, q2, False, Op.DOT)
     for q in s.q_points:
         assert affine_quotient(q) == affine_quotient(q1) * affine_quotient(q2)
 
 
 @given(rational_q(), rational_q())
 def test_colon_quotient_law(q1, q2):
-    s = combine(term(q1), term(q2), Op.COLON)
+    s = combine(q1, False, q2, False, Op.COLON)
     r1, r2 = affine_quotient(q1), affine_quotient(q2)
     for q in s.q_points:
         assert affine_quotient(q) == min(r1 / r2, r2 / r1)
@@ -332,7 +332,7 @@ def test_colon_quotient_law(q1, q2):
        st.sampled_from([Op.DOT, Op.COLON]))
 def test_produced_parameters_valid(q1, q2, f1, f2, op):
     # constructors enforce the invariants, so success is the assertion
-    s = combine(term(q1, f1), term(q2, f2), op)
+    s = combine(q1, f1, q2, f2, op)
     for q in s.q_points:
         assert 0 < q.alpha < q.beta < 1
     for t in s.t_points:
@@ -341,14 +341,14 @@ def test_produced_parameters_valid(q1, q2, f1, f2, op):
 
 @given(rational_q(), rational_q())
 def test_flip_coherence(q1, q2):
-    direct = combine(term(q1, True), term(q2), Op.DOT)
-    via_flip = combine(term(flip(q1)), term(q2), Op.DOT)
+    direct = combine(q1, True, q2, False, Op.DOT)
+    via_flip = combine(flip(q1), False, q2, False, Op.DOT)
     assert direct == via_flip
 
 
 @given(rational_t(), rational_t())
 def test_tt_flagged_interval_endpoints(t1, t2):
-    s = combine(term(t1, True), term(t2, True), Op.DOT)
+    s = combine(t1, True, t2, True, Op.DOT)
     iv = s.t_intervals[0]
     assert iv.lo == min(t1.gamma, t2.gamma)
     assert iv.lo_closed == (t1.gamma == t2.gamma)
@@ -422,13 +422,14 @@ def test_rows_round_trip(operands):
     image = compose_sets(left, left_flip, right, right_flip, op)
     assert image
     for target in _sample_members(image):
-        cls_l, cls_r = decompose(left, left_flip, right, right_flip, op, target)
+        parent = standard_placement(target)
+        child_l, child_r, cut = decompose(left, left_flip, right, right_flip, op, parent)
+        cls_l, cls_r = child_l.cls, child_r.cls
         assert member(left, cls_l) and member(right, cls_r)
-        glued = combine(term(cls_l, left_flip), term(cls_r, right_flip), op)
+        glued = combine(cls_l, left_flip, cls_r, right_flip, op)
         assert member(glued, target)
-        child_l, child_r, cut = cut_quad(
-            standard_placement(target), op, cls_l, left_flip, cls_r, right_flip
-        )
+        # the unchecked cut of the same classes places the same children
+        assert cut_quad(parent, op, cls_l, left_flip, cls_r, right_flip) == (child_l, child_r, cut)
         assert classify_quadrangle(child_l.points, 0).cls == canonicalize(cls_l)
         assert classify_quadrangle(child_r.points, 0).cls == canonicalize(cls_r)
 
@@ -461,8 +462,10 @@ def test_float_rows_round_trip():
             (a,), (b,) = left.pieces, right.pieces
             ties += bool(image.t_points) and a.kind == "Q" and a.quotient != b.quotient
             for target in _sample_members(image):
-                cls_l, cls_r = decompose(left, left_flip, right, right_flip, op, target, tol)
-                glued = combine(term(cls_l, left_flip), term(cls_r, right_flip), op)
+                child_l, child_r, _ = decompose(
+                    left, left_flip, right, right_flip, op, standard_placement(target), tol
+                )
+                glued = combine(child_l.cls, left_flip, child_r.cls, right_flip, op)
                 assert member(glued, target, tol), (left, left_flip, right, right_flip, op, target)
     assert ties
 

@@ -1,8 +1,8 @@
 """Module boundaries: no source module imports another module's private names,
 none uses the per-tree reference path, one function decides quotient ties,
-one function inverts the glueing rows, a class set holds only its pieces, the
-CLI prints from one place, and the verifier stays independent of the code
-whose plans it checks."""
+one function inverts the glueing rows, a class set holds only its pieces, a
+tree node takes one checked cut, the CLI prints from one place, and the
+verifier stays independent of the code whose plans it checks."""
 
 from __future__ import annotations
 
@@ -94,6 +94,32 @@ def test_class_set_holds_only_its_pieces():
             f"{path.name}:{n.lineno} defines {n.name}"
             for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(n, ast.FunctionDef) and n.name in CONVERTERS
+        ]
+    assert not offenders, "\n".join(offenders)
+
+
+# The class-with-flag wrapper and the second checked single cut, which
+# decompose's cut replaces.
+TWO_STEP = {"ClassTerm", "realize_cut"}
+
+
+def test_one_checked_cut_per_node():
+    # decompose cuts with the row it solved; realizer.py calls the unchecked
+    # cut_quad only for the filler splits of the two recipes that are not gc.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += [
+            f"{path.name}:{n.lineno} defines {n.name}"
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name in TWO_STEP
+        ]
+    for top in ast.parse((SRC / "realizer.py").read_text(encoding="utf-8")).body:
+        if getattr(top, "name", None) in {"dissect_por5", "dissect_even_general"}:
+            continue
+        offenders += [
+            f"realizer.py:{node.lineno} uses cut_quad"
+            for node in ast.walk(top)
+            if (getattr(node, "id", None) or getattr(node, "attr", None)) == "cut_quad"
         ]
     assert not offenders, "\n".join(offenders)
 

@@ -23,13 +23,13 @@ from gcdissect import (
     dissect_trapezoid_selfaffine,
     flip,
     flip_factor,
-    realize_cut,
     realize_tree,
     search_self_affine,
     standard_placement,
     verify_plan,
 )
 from gcdissect.affine_types import lerp
+from gcdissect.composition import cut_quad, decompose, singleton
 from gcdissect.treesearch import LEAF, Node, canonical
 
 Q_GENERIC = GenericQuad(F(1, 5), F(1, 2))
@@ -46,13 +46,13 @@ def _classes_match(lq):
 def test_cut_generic_dot():
     """Q(1/20, 5/16) splits into Q(1/5, 1/2) . Q(1/4, 5/8)."""
     parent = standard_placement(GenericQuad(F(1, 20), F(5, 16)))
-    left, right, cut = realize_cut(
-        parent,
+    left, right, cut = decompose(
+        singleton(GenericQuad(F(1, 5), F(1, 2))),
+        False,
+        singleton(GenericQuad(F(1, 4), F(5, 8))),
+        False,
         Op.DOT,
-        GenericQuad(F(1, 5), F(1, 2)),
-        False,
-        GenericQuad(F(1, 4), F(5, 8)),
-        False,
+        parent,
     )
     assert (cut.start_side, cut.end_side) == (0, 2)
     assert cut.start == lerp(parent.a, parent.b, F(16, 19)) == (F(4, 5), 0)
@@ -64,9 +64,8 @@ def test_cut_generic_dot():
 
 def test_cut_trapezoid_pair():
     parent = standard_placement(Trapezoid(F(1, 100)))
-    left, right, cut = realize_cut(
-        parent, Op.DOT, Trapezoid(F(1, 10)), False, Trapezoid(F(1, 10)), False
-    )
+    t = singleton(Trapezoid(F(1, 10)))
+    left, right, cut = decompose(t, False, t, False, Op.DOT, parent)
     assert (cut.start_side, cut.end_side) == (0, 2)
     assert cut.start == lerp(parent.a, parent.b, F(10, 11)) == (F(9, 10), 0)
     assert cut.end == lerp(parent.d, parent.c, F(10, 11)) == (F(9, 10), F(1, 10))
@@ -77,9 +76,8 @@ def test_cut_flagged_trapezoid_pair():
     # both mirror copies of T(1/10) fill T(1/2); lambda is forced here and
     # puts the leg cut at 95/99 of the way from a to d
     parent = standard_placement(Trapezoid(F(1, 2)))
-    left, right, cut = realize_cut(
-        parent, Op.DOT, Trapezoid(F(1, 10)), True, Trapezoid(F(1, 10)), True
-    )
+    t = singleton(Trapezoid(F(1, 10)))
+    left, right, cut = decompose(t, True, t, True, Op.DOT, parent)
     assert (cut.start_side, cut.end_side) == (3, 1)
     assert cut.start == lerp(parent.a, parent.d, F(95, 99)) == (0, F(95, 99))
     assert left.cls == right.cls == Trapezoid(F(1, 10))
@@ -89,17 +87,14 @@ def test_cut_flagged_trapezoid_pair():
 def test_cut_rejects_illegal_glueing():
     parent = standard_placement(Trapezoid(F(1, 100)))
     with pytest.raises(GlueingError):
-        realize_cut(
-            parent, Op.COLON, Trapezoid(F(1, 10)), False, Trapezoid(F(1, 10)), False
-        )
+        cut_quad(parent, Op.COLON, Trapezoid(F(1, 10)), False, Trapezoid(F(1, 10)), False)
 
 
 def test_cut_rejects_wrong_parent():
     parent = standard_placement(Trapezoid(F(1, 3)))
     with pytest.raises(UnrealizableError):
-        realize_cut(
-            parent, Op.DOT, Trapezoid(F(1, 10)), False, Trapezoid(F(1, 10)), False
-        )
+        t = singleton(Trapezoid(F(1, 10)))
+        decompose(t, False, t, False, Op.DOT, parent)
 
 
 # ------------------------------------------------------------ cut trees
@@ -111,15 +106,6 @@ def test_realize_tree_pair():
     assert len(plan.tiles) == 2
     assert plan.gc
     assert verify_plan(plan, 0, expected=Q_GENERIC).ok
-
-
-def test_realize_tree_unique_root_fallback():
-    # T(1/10) . T(1/10) only produces T(1/100); with no explicit root the
-    # one admissible class is taken
-    pair = Node(Op.DOT, LEAF, False, LEAF, False)
-    plan = realize_tree(pair, Trapezoid(F(1, 10)))
-    assert plan.root.cls == Trapezoid(F(1, 100))
-    assert verify_plan(plan, 0, expected=Trapezoid(F(1, 10))).ok
 
 
 def test_realize_tree_rejects_impossible_root():
