@@ -636,17 +636,25 @@ def _cmd_selfaffine(args) -> tuple[int, object]:
     )
 
 
+def _load_plan_file(path: str) -> tuple[DissectionPlan, AffineClass, float]:
+    """loads_plan on a file's text; bytes that are not UTF-8 are a plan-format problem."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PlanFormatError(f"plan file is not UTF-8 text: {exc}") from exc
+    return loads_plan(text)
+
+
 def _cmd_verify(args) -> tuple[int, object]:
-    with open(args.plan, encoding="utf-8") as fh:
-        plan, cls, doc_tol = loads_plan(fh.read())
+    plan, cls, doc_tol = _load_plan_file(args.plan)
     tol = args.tol if args.tol is not None else doc_tol
     report = verify_plan(plan, tol, expected=cls)
     return (0 if report.ok else 1), report_to_doc(report)
 
 
 def _cmd_render(args) -> tuple[int, object]:
-    with open(args.plan, encoding="utf-8") as fh:
-        plan, _, _ = loads_plan(fh.read())
+    plan, _, _ = _load_plan_file(args.plan)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(render_svg(plan))
     return 0, {"written": args.svg}

@@ -32,9 +32,11 @@ the row it solved; cut_quad cuts with no such check.  The inverse is no
 column: a product row's follows from its forward piece and that m, and the
 factor also bounds the last level's lookup windows (glue_partners); the
 mirror rows and P . P test a few members of each operand against their
-forward image.  Rows work on pieces, which is what a ClassSet holds: a Q
-piece is a quotient with a range of betas, a T piece a range of ratios, and
-a P piece the parallelogram; a single class is the degenerate closed range.
+forward image.  The same inverse, against a wildcard operand, solves the
+classes one exact leaf glues to a target (partner_targets).  Rows work on
+pieces, which is what a ClassSet holds: a Q piece is a quotient with a range
+of betas, a T piece a range of ratios, and a P piece the parallelogram; a
+single class is the degenerate closed range.
 A set stores its pieces as on an unflagged edge, and _flag moves each onto
 a flagged one.  A glued Q piece keeps the quotient its row computed, so
 equal sets glue to equal sets; a float leaf's are powers of its quotient
@@ -769,6 +771,34 @@ def glue_partners(
         return out
 
     return partners
+
+
+def partner_targets(
+    leaf: AffineClass, exponents: Iterable[int], targets: list[AffineClass]
+) -> Optional[list[AffineClass]]:
+    """The classes c that an exact leaf, glued to c under either op and any
+    edge flags, can give one of targets, by _inverse at tol 0 against a
+    wildcard right operand: a T piece and, per exponent j, a Q piece of
+    quotient q ** j (q the leaf's), each spanning (0, 1).  c is the right
+    operand's effective member; a generic one comes with its flip, so a set
+    holds one whatever its edge flag.  None when a row met has no factor:
+    its inverse is no exact solve, and no class is ruled out."""
+    whole = Span(0, False, 1, False)
+    q = affine_quotient(leaf)
+    wildcard = ClassSet((_t(whole), *(Piece("Q", False, whole, q**j) for j in sorted(exponents))))
+    out: dict[AffineClass, None] = {}
+    for op in Op:
+        for fl in (False, True):
+            for f2 in (False, True):
+                for row, swapped, a, b in _row_pairs(singleton(leaf), fl, wildcard, f2, op):
+                    if row.factor is None:
+                        return None
+                    for target in targets:
+                        pair = _inverse(row, a, b, target, 0)
+                        if pair:
+                            c = pair[0] if swapped else pair[1]
+                            out.update(dict.fromkeys([c, flip(c)] if _kind(c) == "Q" else [c]))
+    return list(out)
 
 
 def _cut(

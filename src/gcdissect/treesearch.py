@@ -15,6 +15,9 @@ to back-pointers, made by glueing unordered pairs of flagged lower-level
 sets, each pair once.  At level n only the pairs an index lookup finds
 (composition.glue_partners) are tested piece by piece (glue_holds), and
 only the sets that contain the class are built and expanded into trees.
+Level n - 1 is glued only to the leaf, so in an exact search it builds, the
+same way, only the sets holding a class the leaf glues to the class
+(composition.partner_targets).
 
 The same level pass on token sets (composition.glue_tokens, the table's
 token column) holds a handful of sets per level, the same for every leaf of
@@ -42,9 +45,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
-from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
+from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, class_is_exact, flip
 from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, compose_sets, glue_tokens
-from .composition import glue_holds, glue_partners, may_hold, member, singleton
+from .composition import glue_holds, glue_partners, may_hold, member, partner_targets, singleton
 from .errors import SearchCapError
 
 DEFAULT_SEARCH_CAP = 8
@@ -289,26 +292,38 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     up the admitted right edges that can glue with it to the class
     (glue_partners), tests those pairs in order with glue_holds, member on
     each forward piece, and builds only the sets holding the class or its
-    flip.  Every pair on a path to a hit is marked, found, passes that test
-    and keeps its place, so the hits and their order are those of glueing
-    every pair.  Each level logs its counts on the "gcdissect.treesearch"
-    debug logger (at level n: sets kept, marked pairs, candidates tested).
+    flip.  For n >= 3, level n - 1 only meets the leaf, at level n.  When
+    the leaf is exact and tol is 0, level n - 1 runs the same branch once a
+    pair there is marked, with the classes the leaf glues to the class or
+    its flip in place of the targets (composition.partner_targets, solved
+    then by the rows' inverse); a leaf meeting a row with no factor (T and
+    P) keeps the whole level.  Every pair on a path to a hit is marked,
+    found, passes that test and keeps its place, so the hits and their
+    order are those of glueing every pair.  Each level logs its counts on
+    the "gcdissect.treesearch" debug logger (on a level that builds only
+    holders: sets kept, marked pairs, candidates tested, targets).
     """
     _check_size(n)
     targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
     ids, moves, marked = _skeleton(leaf, n, targets, tol)
+    exact = tol == 0 and n >= 3 and class_is_exact(leaf)
+    # goals[k]: the classes whose holders are the only sets level k builds;
+    # a level without one (or with None) builds every set it glues.  Level
+    # n - 1's are solved at its first marked pair, so an empty search solves none.
+    goals: dict[int, list | None] = {n: targets}
 
     # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
     # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left;
     # edges[k]: (set, flag, token id) per set of levels[k] and flag
     levels: list[dict[ClassSet, list[tuple]]] = [{}, {singleton(leaf): []}]
     edges = [[], [(singleton(leaf), f, 0) for f in (False, True)]]
-    # k1 -> glue_partners over the level n - k1 edges that marked moves admit
+    # k1 -> glue_partners over the level k - k1 edges that marked moves admit
     partners: dict[int, Callable] = {}
     for k in range(2, n + 1):
         level: dict[ClassSet, list[tuple]] = {}
         token_ids: dict[ClassSet, int] = {}
         glued = tested = 0
+        partners.clear()
         for op, k1 in _splits(k):
             lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
             # (id2, f2) -> positions of the right edges with that token id and flag
@@ -326,28 +341,34 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                     )
                 js = js[bisect_left(js, i):] if same else js
                 glued += len(js)
-                if k == n and js:
+                if not js:
+                    continue
+                if exact and k == n - 1 and k not in goals:
+                    goals[k] = _partner_targets(leaf, ids[k], marked[n], targets)
+                goal = goals.get(k)
+                if goal is not None:
                     if k1 not in partners:
-                        wanted = {(m[3], m[4]) for m in marked[n] if m[0] == k1}
+                        wanted = {(m[3], m[4]) for m in marked[k] if m[0] == k1}
                         partners[k1] = glue_partners(
                             ((j, s, f) for j, (s, f, i) in enumerate(rights) if (i, f) in wanted),
-                            targets, tol,
+                            goal, tol,
                         )
                     candidates = partners[k1](s1, f1, op)
                     js = [j for j in js if j in candidates]
                     tested += len(js)
                 for j in js:
                     s2, f2, i2 = rights[j]
-                    if k == n and not glue_holds(s1, f1, s2, f2, op, targets, tol):
+                    if goal is not None and not glue_holds(s1, f1, s2, f2, op, goal, tol):
                         continue
                     root = compose_sets(s1, f1, s2, f2, op)
                     level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
                     token_ids.setdefault(root, moves[k][(k1, i1, f1, i2, f2, op)])
-        tail = ("%d sets kept, %d marked pairs, %d candidates tested" if k == n
-                else "%d distinct sets, %d pairs glued")
+        goal = goals.get(k)
+        tail = ("%d sets kept, %d marked pairs, %d candidates tested, %d targets"
+                if goal is not None else "%d distinct sets, %d pairs glued")
         _log.debug(
-            "level %d: %d token sets, %d moves, %d marked, " + tail, k, len(ids[k]),
-            len(moves[k]), len(marked[k]), len(level), glued, *((tested,) if k == n else ()),
+            "level %d: %d token sets, %d moves, %d marked, " + tail, k, len(ids[k]), len(moves[k]),
+            len(marked[k]), len(level), glued, *((tested, len(goal)) if goal is not None else ()),
         )
         levels.append(level)
         edges.append([(s, f, i) for s, i in token_ids.items() for f in (False, True)])
@@ -406,6 +427,17 @@ def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list
                 live[k1].add(i1)
                 live[k - k1].add(i2)
     return ids, moves, marked
+
+
+def _partner_targets(
+    leaf: AffineClass, ids_below: dict, marked_n: set, targets: list
+) -> list | None:
+    """composition.partner_targets for level n - 1 of a search, ids_below
+    its token sets: the Q exponents are those of the sets that marked
+    level-n moves with the leaf on the left (k1 = 1) take."""
+    tokens = {i: toks for toks, i in ids_below.items()}
+    exponents = {tok[1] for m in marked_n if m[0] == 1 for tok in tokens[m[3]] if tok[0] == "Q"}
+    return partner_targets(leaf, exponents, targets)
 
 
 # Module-level, not a closure over the levels: a recursive closure is a

@@ -327,11 +327,14 @@ def test_cli_verify_missing_file(capsys):
 
 
 def test_cli_verify_corrupt_file(capsys, tmp_path):
+    # not JSON, and not UTF-8 (a UTF-16 byte-order mark); render reads plans alike
     bad = tmp_path / "bad.json"
-    bad.write_text("{]")
-    code, doc = _run(capsys, "verify", "--plan", str(bad))
-    assert code == 2
-    assert "error" in doc
+    for data in (b"{]", b"\xff\xfe{\x00}\x00"):
+        bad.write_bytes(data)
+        for command in (["verify"], ["render", "--svg", str(tmp_path / "out.svg")]):
+            code, doc = _run(capsys, *command, "--plan", str(bad))
+            assert code == 2, (data, command)
+            assert "error" in doc
 
 
 def test_cli_usage_error():

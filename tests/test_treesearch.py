@@ -30,8 +30,10 @@ from gcdissect import (
     reachable_exponents,
     search_self_affine,
 )
-from gcdissect import treesearch
-from gcdissect.composition import compose_sets, glue_holds, glue_partners, singleton
+from gcdissect import composition, treesearch
+from gcdissect.composition import (
+    compose_sets, glue_holds, glue_partners, partner_targets, singleton,
+)
 from gcdissect.treesearch import _expand, _pairs, _with_flags, canonical
 from test_composition import class_set
 
@@ -281,6 +283,9 @@ def _criterion_3_classes(count):
 
 
 # The kite at n = 7 (108 hits) pairs sets of odd sizes the n <= 6 cases do not.
+# The generic class at n = 7 (441 hits) is the generic case whose pruned level
+# n - 1 keeps hits (at n = 6 it has none, by parity).  Q(2/5,1/2) at n = 5
+# has hits through level 4 sets holding only the flip of a partner target.
 # Near-unit float quotients: q^j and q^k at j != k lie within the colon's float
 # tie band, but pieces of one leaf tie by exponent, as tokens do, so q = 1 -
 # 2e-13 has no hit at even n.  At q = 1 - 3e-12 and n = 6, flipping a short
@@ -289,7 +294,7 @@ def _criterion_3_classes(count):
 @pytest.mark.parametrize(
     "leaf, tol, top",
     [
-        (GenericQuad(F(1, 5), F(1, 2)), 0, 6),
+        (GenericQuad(F(1, 5), F(1, 2)), 0, 7),
         (Trapezoid(F(1, 3)), 0, 6),
         (Parallelogram(), 0, 6),
         (GenericQuad(F(1, 2), F(2, 3)), 1, 6),
@@ -300,6 +305,7 @@ def _criterion_3_classes(count):
         (GenericQuad(0.3, 0.35), 0.4, 6),
         *((cls, 0, 6) for cls in _criterion_3_classes(3)),
         (GenericQuad(F(3, 4), F(4, 5)), 0, 7),
+        (GenericQuad(F(2, 5), F(1, 2)), 0, 5),
         (GenericQuad(0.5, 0.5 + 1e-13), 0, 6),
         (GenericQuad(0.5, 0.5 + 1e-13), 1e-9, 5),
         (GenericQuad(0.3, 0.3 + 1e-12), 0, 6),
@@ -308,7 +314,7 @@ def _criterion_3_classes(count):
     ids=[
         "generic", "trapezoid", "parallelogram", "kite-tol-1", "kite-tol-1/10",
         "family-II", "family-III", "family-IV", "float-tol-above-beta",
-        "crit3-a", "crit3-b", "crit3-c", "kite-n7",
+        "crit3-a", "crit3-b", "crit3-c", "kite-n7", "flipped-partner",
         "near-unit-13", "near-unit-13-tol", "near-unit-12", "near-unit-12-tol",
     ],
 )
@@ -443,21 +449,55 @@ def test_glue_partners_hold_every_pair_glue_holds_accepts(leaf, tol):
 
 
 def test_last_level_composes_few_pairs(monkeypatch):
-    # An empty exact search marks no move, so it glues no pair of sets at all.
-    calls = []
+    # An empty exact search marks no move, so it glues no pair of sets at all
+    # and solves no level n - 1 targets.
+    calls, inverses = [], []
 
     def counting(*args):
         calls.append(args)
         return compose_sets(*args)
 
+    def counting_inverse(*args):
+        inverses.append(args)
+        return inverse(*args)
+
+    inverse = composition._inverse
     monkeypatch.setattr(treesearch, "compose_sets", counting)
+    monkeypatch.setattr(composition, "_inverse", counting_inverse)
     for n in (6, 8):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), n) == []
-        assert calls == [], n
-    # With hits, levels 2..4 glue 6 + 30 + 171 pairs; the last level tests
-    # its 606 marked pairs and builds only the 5 that hold the class.
+        assert calls == [] and inverses == [], n
+    # With hits, levels 2 and 3 glue 6 + 30 pairs.  Level 4 tests 6 of its
+    # 171 marked pairs and builds the 5 sets holding T(4/5), the one class
+    # the leaf glues to the class or its flip; the last level tests 53 of
+    # its 310 marked pairs and builds only the 5 that hold the class.
     assert len(search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 5)) == 6
-    assert len(calls) == 212
+    assert len(calls) == 47
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [GenericQuad(F(1, 5), F(1, 2)), GenericQuad(F(3, 4), F(4, 5)), GenericQuad(F(2, 5), F(1, 2))],
+    ids=["generic", "kite", "flipped-partner"],
+)
+def test_partner_targets_are_held_by_every_set_the_leaf_glues_to_the_class(leaf):
+    # Level n - 1 keeps only the sets holding a partner target: every set of
+    # up to four leaves that the leaf glues to the class (either op, any
+    # flags) must hold one, and Q(1/5,1/2) has the one, T(4/5).
+    levels, targets = _small_sets(leaf)
+    found = partner_targets(leaf, range(1, 5), targets)
+    for s in (s for sets in levels.values() for s in sets):
+        for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
+            if glue_holds(singleton(leaf), f1, s, f2, op, targets):
+                assert any(member(s, c) for c in found), (s, f1, f2, op)
+    if leaf == GenericQuad(F(1, 5), F(1, 2)):
+        assert found == [Trapezoid(F(4, 5))]
+
+
+def test_partner_targets_refuse_rows_without_factor():
+    # T and P leaves meet the mirror rows, whose inverse is no exact solve.
+    assert partner_targets(Trapezoid(F(1, 3)), [], [Trapezoid(F(1, 3))]) is None
+    assert partner_targets(Parallelogram(), [], [Parallelogram()]) is None
 
 
 def test_search_certifies_n8_on_random_classes():
@@ -471,15 +511,16 @@ def _level_counts(records):
 
 def test_search_logs_counts_per_level(caplog):
     # level: (token sets, moves, marked, distinct sets, pairs glued); at the
-    # last level (sets kept, marked pairs, candidates tested), since only
-    # the candidates the lookup returns are tested, and only sets holding
-    # the class are built
+    # last level, and at level n - 1 of an exact search once a pair there is
+    # marked, (sets kept, marked pairs, candidates tested, targets), since
+    # only the candidates the lookup returns are tested, and only sets
+    # holding a target are built
     with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 4) == []
     assert _level_counts(caplog.records) == {
         2: (2, 8, 0, 0, 0),
         3: (2, 10, 0, 0, 0),
-        4: (4, 30, 0, 0, 0, 0),
+        4: (4, 30, 0, 0, 0, 0, 2),
     }
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
@@ -487,8 +528,8 @@ def test_search_logs_counts_per_level(caplog):
     assert _level_counts(caplog.records) == {
         2: (2, 8, 8, 6, 6),
         3: (2, 10, 10, 20, 30),
-        4: (4, 30, 22, 99, 171),
-        5: (3, 40, 18, 5, 606, 87),
+        4: (4, 30, 22, 5, 171, 6, 1),
+        5: (3, 40, 18, 5, 310, 53, 2),
     }
 
 
