@@ -119,7 +119,7 @@ def _tol_from_doc(value: object) -> float:
     """A declared tolerance: a finite number >= 0, not a boolean."""
     try:
         tol = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PlanFormatError(f"bad tolerance: {value!r}") from exc
     if isinstance(value, bool) or not (math.isfinite(tol) and tol >= 0):
         raise PlanFormatError(f"bad tolerance: {value!r}")
@@ -220,8 +220,8 @@ def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
 def plan_to_doc(plan: DissectionPlan, cls: AffineClass, tol: float = 0.0) -> dict:
     """Serialize a plan; cls is the class the tiles are copies of.
 
-    tol declares the tolerance the plan verifies at, for constructions
-    that are approximate even over rational inputs.
+    tol declares the tolerance the plan verifies at, for plans with float
+    coordinates; exact plans verify at any tol, 0 included.
     """
     doc = {
         "version": PLAN_VERSION,
@@ -625,9 +625,7 @@ def _cmd_selfaffine(args) -> tuple[int, object]:
     if n == 5:
         return 0, plan_to_doc(dissect_por5(cls), cls)
     if n >= 6 and n % 2 == 0:
-        # The steering parameter is bisected, so the plan is approximate
-        # even over rational inputs.
-        return 0, plan_to_doc(dissect_even_general(cls, n), cls, DEFAULT_FLOAT_TOL)
+        return 0, plan_to_doc(dissect_even_general(cls, n), cls)
     if n >= 7:
         return 0, plan_to_doc(dissect_odd(cls, n), cls)
     raise UnrealizableError(

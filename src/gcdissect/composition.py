@@ -28,7 +28,7 @@ concrete parent quad, its token image (glue_tokens), and on the four
 product rows (Q . Q, Q : Q, Q . T, T . T) a factor: they glue single
 values a, b to a*b*m with m = max(factor(a), factor(b)).  decompose picks
 operand classes that glue to a given parent quad's class and cuts it with
-the row it solved; cut_quad cuts with no such check.  The inverse is no
+the row it solved, so every cut is checked.  The inverse is no
 column: a product row's follows from its forward piece and that m, and the
 factor also bounds the last level's lookup windows (glue_partners); the
 mirror rows and P . P test a few members of each operand against their
@@ -801,20 +801,6 @@ def partner_targets(
     return list(out)
 
 
-def _cut(
-    row: Row, parent: LabeledQuad, left: AffineClass, left_flip: bool,
-    right: AffineClass, right_flip: bool, take_lam: TakeLam,
-) -> Cut:
-    """row's cut of parent into the effective classes left and right; a
-    generic child on a flagged edge comes back mirror-labeled."""
-    child_l, child_r, cut = row.cut(parent, left, right, take_lam)
-    if left_flip and isinstance(left, GenericQuad):
-        child_l = child_l.mirrored()
-    if right_flip and isinstance(right, GenericQuad):
-        child_r = child_r.mirrored()
-    return child_l, child_r, cut
-
-
 def decompose(
     left: ClassSet,
     left_flipped: bool,
@@ -828,9 +814,9 @@ def decompose(
     """Inverse of compose_sets at one parent quad, and its cut.
 
     Picks a member of each operand set such that glueing them can produce
-    parent's class, and cuts parent with the same row, as cut_quad does:
-    each child carries the member its subtree has (before the edge flag),
-    mirror-labeled where a generic one sits on a flagged edge.
+    parent's class, and cuts parent with the same row: each child carries
+    the member its subtree has (before the edge flag), mirror-labeled where
+    a generic one sits on a flagged edge.
     Deterministic: pieces are tried in the order the sets store them and
     the first success wins.  Raises UnrealizableError when no pair works.
     """
@@ -838,7 +824,12 @@ def decompose(
         pair = _inverse(row, a, b, parent.cls, tol)
         if pair:
             eff_l, eff_r = pair[::-1] if swapped else pair
-            return _cut(row, parent, eff_l, left_flipped, eff_r, right_flipped, take_lam)
+            child_l, child_r, cut = row.cut(parent, eff_l, eff_r, take_lam)
+            if left_flipped and isinstance(eff_l, GenericQuad):
+                child_l = child_l.mirrored()
+            if right_flipped and isinstance(eff_r, GenericQuad):
+                child_r = child_r.mirrored()
+            return child_l, child_r, cut
     raise UnrealizableError(f"no operand choice glues to {parent.cls} at this node")
 
 
@@ -857,27 +848,3 @@ def glue_tokens(
                 out.extend(row.tokens(y, x) if swapped else row.tokens(x, y))
     return frozenset(out)
 
-
-def cut_quad(
-    parent: LabeledQuad,
-    op: Op,
-    left: AffineClass,
-    left_flip: bool,
-    right: AffineClass,
-    right_flip: bool,
-    take_lam: TakeLam = lambda: Fraction(1),
-) -> Cut:
-    """The row's cut geometry: split parent into children of classes left
-    and right, given with their edge flags as on a tree.
-
-    Does not check that the two classes glue to parent's class.  take_lam
-    supplies the cut position where the row leaves it free.  Children come
-    back in (left, right) order, mirror-labeled where a generic class sits
-    on a flagged edge.
-    """
-    row = _lookup(op, left, left_flip, right, right_flip)[0]
-    if left_flip and isinstance(left, GenericQuad):
-        left = flip(left)
-    if right_flip and isinstance(right, GenericQuad):
-        right = flip(right)
-    return _cut(row, parent, left, left_flip, right, right_flip, take_lam)

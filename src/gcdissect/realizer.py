@@ -42,7 +42,7 @@ from .affine_types import (
     vscale,
     vsub,
 )
-from .composition import ClassSet, Op, cut_quad, decompose, member
+from .composition import ClassSet, Op, decompose, member
 from .errors import UnrealizableError
 from .scalars import Scalar, exactify, scalar_close
 from .treesearch import LEAF, ExtTree, Leaf, Node, evaluate
@@ -50,10 +50,6 @@ from .treesearch import LEAF, ExtTree, Leaf, Node, evaluate
 # Tolerance for matching classes at internal nodes when any scalar in play
 # is a float; exact inputs always match exactly.
 INTERNAL_MATCH_TOL = 1e-12
-
-# Stop width and residual for the one-dimensional root finding inside
-# dissect_even_general.
-BISECTION_TOL = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
@@ -325,10 +321,6 @@ def _exact_generic(cls: GenericQuad) -> GenericQuad:
     return GenericQuad(exactify(cls.alpha), exactify(cls.beta))
 
 
-# dissect_por5 and dissect_even_general split their filler trapezoids into
-# pairs by calling cut_quad directly, with no class check: in
-# dissect_even_general the filler's ratio differs from the pair ratio by a
-# bisection residual, and the two children are copies of the tile up to it.
 def dissect_por5(cls: GenericQuad) -> DissectionPlan:
     """Five copies via one shrunk copy and two split trapezoids.
 
@@ -348,9 +340,9 @@ def dissect_por5(cls: GenericQuad) -> DissectionPlan:
     shrunk = LabeledQuad(ecls, a, rb, rc, rd)
     trap1 = LabeledQuad(Trapezoid(r), b, rb, rc, c)
     trap2 = LabeledQuad(Trapezoid(r), c, rc, rd, d)
-    t1a, t1b, _ = cut_quad(trap1, Op.COLON, ecls, False, ecls, False)
-    t2a, t2b, _ = cut_quad(trap2, Op.COLON, ecls, False, ecls, False)
-    tiles = tuple(_ccw(t) for t in (shrunk, t1a, t1b, t2a, t2b))
+    tiles = (_ccw(shrunk),)
+    for trap in (trap1, trap2):
+        tiles += tuple(_realize_into(_pair_tree(False), ecls, trap, (), 0)[0])
     return DissectionPlan(
         root=root,
         tiles=tiles,
@@ -378,10 +370,10 @@ def dissect_even_general(cls: GenericQuad, n: int) -> DissectionPlan:
     """n >= 6 even copies of a generic quadrangle, not glass-cut.
 
     An expanded frame holds the original, a reversed affine copy, and two
-    filler trapezoids of a ratio that varies continuously with the frame
-    size.  The frame is tuned until that ratio hits the pair ratio
-    alpha * beta (to within 1e-12, from above), and the fillers then split
-    into 2 and n - 4 copies.  Four copies are impossible; odd counts are
+    filler trapezoids of a ratio that is affine in the frame size.  The
+    frame size is solved so that this ratio is exactly the pair ratio
+    alpha * beta, and the fillers then split into 2 and n - 4 copies
+    through the checked cut.  Four copies are impossible; odd counts are
     handled by dissect_odd.
     """
     if not isinstance(cls, GenericQuad):
@@ -402,45 +394,17 @@ def dissect_even_general(cls: GenericQuad, n: int) -> DissectionPlan:
     t = 2 - mu_hat - nu_hat
     assert 0 < t < 1, "reversed copy fell outside the frame"
     k = 1 / t
-    target = ecls.alpha * ecls.beta
-
-    def ratio_at(nu: Fraction) -> Scalar:
-        return _even_general_pieces(nu, k, frame)[2].gamma
-
-    lo = t + (1 - t) / 4
-    hi = 1 - (1 - t) / 4
-    for _ in range(64):
-        if ratio_at(lo) > target:
-            break
-        lo = (t + lo) / 2
-    else:
-        raise AssertionError("no bracket end with ratio above the target")
-    for _ in range(64):
-        if ratio_at(hi) < target:
-            break
-        hi = (hi + 1) / 2
-    else:
-        raise AssertionError("no bracket end with ratio below the target")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        r = ratio_at(mid)
-        if r == target:
-            lo = mid
-            break
-        if r > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BISECTION_TOL and ratio_at(lo) - target < BISECTION_TOL:
-            break
-    else:
-        raise AssertionError("frame tuning did not converge")
-    nu0 = lo
-
     big_b, big_c, big_d = vscale(k, b), vscale(k, c), vscale(k, d)
-    z1, z2, ratio_cls = _even_general_pieces(nu0, k, frame)
-    mu0 = ratio_cls.gamma
-    assert mu0 >= target and mu0 - target < BISECTION_TOL
+    pair = Trapezoid(ecls.alpha * ecls.beta)
+    # The filler (b, nu*kB, z1, c), kB = big_b, has one leg on line AB and
+    # the other on line (kB, c), so its legs meet at kB, and its parallel
+    # sides are bc and the segment at nu*kB, parallel to kB kC.  Its ratio is
+    # the ratio of their distances from kB, k(1 - nu)/(k - 1) =
+    # (1 - nu)/(1 - t): affine in nu, it is the pair ratio at nu0 below, and
+    # t < nu0 < 1.
+    nu0 = 1 - (1 - t) * pair.gamma
+    z1, z2, filler = _even_general_pieces(nu0, k, frame)
+    assert filler == pair, "filler ratio is not the pair ratio"
 
     original = LabeledQuad(ecls, a, b, c, d)
     reversed_pts = (c, z2, vscale(nu0, big_c), z1)
@@ -449,22 +413,15 @@ def dissect_even_general(cls: GenericQuad, n: int) -> DissectionPlan:
     reversed_copy = LabeledQuad(
         rev_cl.cls, *(reversed_pts[j] for j in rev_cl.labeling)
     )
-    trap1 = LabeledQuad(Trapezoid(mu0), b, vscale(nu0, big_b), z1, c)
+    trap1 = LabeledQuad(pair, b, vscale(nu0, big_b), z1, c)
     trap2_pts = (c, z2, vscale(nu0, big_d), d)
-    trap2_cl = classify_quadrangle(trap2_pts)
-    assert trap2_cl.cls == Trapezoid(mu0), "filler ratios disagree"
-    trap2 = LabeledQuad(Trapezoid(mu0), *trap2_pts)
+    assert classify_quadrangle(trap2_pts).cls == pair, "filler ratios disagree"
+    trap2 = LabeledQuad(pair, *trap2_pts)
 
-    t1a, t1b, _ = cut_quad(trap1, Op.COLON, ecls, False, ecls, False)
-    pieces: list[LabeledQuad] = [original, reversed_copy, t1a, t1b]
-    if n == 6:
-        t2a, t2b, _ = cut_quad(trap2, Op.COLON, ecls, False, ecls, False)
-        pieces += [t2a, t2b]
-    else:
-        flagged, bound = _trapezoid_branch(ecls)
-        assert mu0 >= bound
-        fill = _fill_tree((n - 4) // 2, flagged)
-        pieces += _realize_into(fill, ecls, trap2, pinned=(), tol=0)[0]
+    rest = _pair_tree(False) if n == 6 else _fill_tree((n - 4) // 2, _trapezoid_branch(ecls)[0])
+    pieces = [original, reversed_copy]
+    for tree, trap in ((_pair_tree(False), trap1), (rest, trap2)):
+        pieces += _realize_into(tree, ecls, trap, (), 0)[0]
 
     scale = 1 / (nu0 * k)
     tiles = tuple(

@@ -7,6 +7,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -126,6 +127,7 @@ def test_plan_doc_rejects_garbage():
         {"cuts": [dict(cut0, start_side=float("inf"))]},
         {"cuts": [dict(cut0, start_side=cut0["start_side"] + 0.5)]},
         {"tol": "nan"},
+        {"tol": 10**400},
     ):
         with pytest.raises(PlanFormatError):
             plan_from_doc(dict(good, **changes))
@@ -275,12 +277,25 @@ def test_cli_selfaffine_even(capsys, tmp_path):
         "--out", str(plan_path),
     )
     assert code == 0
-    assert json.loads(plan_path.read_text())["tol"] == 1e-9
-    # the declared tolerance makes verification pass; forcing zero breaks it
+    # the frame is solved exactly, so the plan declares no tolerance
+    assert "tol" not in json.loads(plan_path.read_text())
     code, doc = _run(capsys, "verify", "--plan", str(plan_path))
     assert code == 0 and doc["ok"]
-    code, doc = _run(capsys, "verify", "--plan", str(plan_path), "--tol", "0")
-    assert code == 1 and not doc["ok"]
+
+
+def test_cli_selfaffine_exact_plans_verify_at_zero(capsys, tmp_path):
+    # every count's construction is exact over p/q classes, even counts too
+    rng = random.Random(26)
+    plan_path = tmp_path / "plan.json"
+    for _ in range(3):
+        alpha, beta = sorted(F(rng.randint(1, d - 1), d) for d in rng.sample(range(3, 41), 2))
+        for n in (5, 6, 8, 12, 51):
+            cls = f"Q:{alpha},{beta}"
+            code, _ = _run(capsys, "selfaffine", "--class", cls, "--n", str(n), "--out", str(plan_path))
+            assert code == 0, (cls, n)
+            assert "tol" not in json.loads(plan_path.read_text()), (cls, n)
+            code, doc = _run(capsys, "verify", "--plan", str(plan_path))
+            assert code == 0 and doc["ok"], (cls, n, doc)
 
 
 @pytest.mark.parametrize("command", ["dissect", "selfaffine"])
@@ -346,11 +361,12 @@ def test_cli_usage_error():
 def test_cli_back_to_back_calls_share_no_state(capsys, tmp_path):
     # The parser is built once per process; every call starts from its defaults.
     approx = tmp_path / "approx.json"
-    approx.write_text(dumps_plan(dissect_even_general(Q_GENERIC, 6), Q_GENERIC))
-    code, doc = _run(capsys, "verify", "--plan", str(approx), "--tol", "1e-9")
-    assert code == 0 and doc["ok"]
-    code, doc = _run(capsys, "verify", "--plan", str(approx))  # the plan's own tol, 0
+    cls = GenericQuad(0.2, 0.5)
+    approx.write_text(dumps_plan(dissect_odd(cls, 5), cls, 1e-9))
+    code, doc = _run(capsys, "verify", "--plan", str(approx), "--tol", "0")
     assert code == 1 and not doc["ok"]
+    code, doc = _run(capsys, "verify", "--plan", str(approx))  # the plan's own tol, 1e-9
+    assert code == 0 and doc["ok"]
     code, doc = _run(capsys, "classify", "--points", "0,0;4,0;3,2;0,3")
     assert code == 0 and doc["class"] == {"kind": "Q", "alpha": "5/9", "beta": "2/3"}
     code, doc = _run(capsys, "search", "--class", "T:1/2", "--n", "2")
@@ -530,7 +546,7 @@ json_values = st.recursive(
     | st.integers(-(10**6), 10**6)
     | st.floats()
     | st.text(max_size=6)
-    | st.sampled_from(["1/0", "1/2", "-7/3", "0.5", {"dec": "nan"}, {"dec": "1e400"}]),
+    | st.sampled_from(["1/0", "1/2", "-7/3", "0.5", {"dec": "nan"}, {"dec": "1e400"}, 10**400]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )

@@ -44,7 +44,6 @@ from gcdissect.composition import (
     _class_set,
     _flag,
     _piece,
-    cut_quad,
     decompose,
     glue_tokens,
     may_hold,
@@ -423,13 +422,11 @@ def test_rows_round_trip(operands):
     assert image
     for target in _sample_members(image):
         parent = standard_placement(target)
-        child_l, child_r, cut = decompose(left, left_flip, right, right_flip, op, parent)
+        child_l, child_r, _ = decompose(left, left_flip, right, right_flip, op, parent)
         cls_l, cls_r = child_l.cls, child_r.cls
         assert member(left, cls_l) and member(right, cls_r)
         glued = combine(cls_l, left_flip, cls_r, right_flip, op)
         assert member(glued, target)
-        # the unchecked cut of the same classes places the same children
-        assert cut_quad(parent, op, cls_l, left_flip, cls_r, right_flip) == (child_l, child_r, cut)
         assert classify_quadrangle(child_l.points, 0).cls == canonicalize(cls_l)
         assert classify_quadrangle(child_r.points, 0).cls == canonicalize(cls_r)
 

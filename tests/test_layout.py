@@ -98,29 +98,20 @@ def test_class_set_holds_only_its_pieces():
     assert not offenders, "\n".join(offenders)
 
 
-# The class-with-flag wrapper and the second checked single cut, which
-# decompose's cut replaces.
-TWO_STEP = {"ClassTerm", "realize_cut"}
+# The class-with-flag wrapper, the second checked single cut, which
+# decompose's cut replaces, and the unchecked cut.
+TWO_STEP = {"ClassTerm", "realize_cut", "cut_quad"}
 
 
 def test_one_checked_cut_per_node():
-    # decompose cuts with the row it solved; realizer.py calls the unchecked
-    # cut_quad only for the filler splits of the two recipes that are not gc.
+    # decompose cuts with the row it solved, the recipes' filler splits
+    # included; no module defines or uses another cut.
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        offenders += [
-            f"{path.name}:{n.lineno} defines {n.name}"
-            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name in TWO_STEP
-        ]
-    for top in ast.parse((SRC / "realizer.py").read_text(encoding="utf-8")).body:
-        if getattr(top, "name", None) in {"dissect_por5", "dissect_even_general"}:
-            continue
-        offenders += [
-            f"realizer.py:{node.lineno} uses cut_quad"
-            for node in ast.walk(top)
-            if (getattr(node, "id", None) or getattr(node, "attr", None)) == "cut_quad"
-        ]
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(n, "name", None) or getattr(n, "id", None) or getattr(n, "attr", None)
+            if name in TWO_STEP:
+                offenders.append(f"{path.name}:{getattr(n, 'lineno', '?')} defines or uses {name}")
     assert not offenders, "\n".join(offenders)
 
 

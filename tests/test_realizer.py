@@ -9,7 +9,6 @@ import pytest
 from gcdissect import (
     Construction,
     GenericQuad,
-    GlueingError,
     Op,
     Parallelogram,
     Trapezoid,
@@ -29,7 +28,7 @@ from gcdissect import (
     verify_plan,
 )
 from gcdissect.affine_types import lerp
-from gcdissect.composition import cut_quad, decompose, singleton
+from gcdissect.composition import decompose, singleton
 from gcdissect.treesearch import LEAF, Node, canonical
 
 Q_GENERIC = GenericQuad(F(1, 5), F(1, 2))
@@ -82,12 +81,6 @@ def test_cut_flagged_trapezoid_pair():
     assert cut.start == lerp(parent.a, parent.d, F(95, 99)) == (0, F(95, 99))
     assert left.cls == right.cls == Trapezoid(F(1, 10))
     assert _classes_match(left) and _classes_match(right)
-
-
-def test_cut_rejects_illegal_glueing():
-    parent = standard_placement(Trapezoid(F(1, 100)))
-    with pytest.raises(GlueingError):
-        cut_quad(parent, Op.COLON, Trapezoid(F(1, 10)), False, Trapezoid(F(1, 10)), False)
 
 
 def test_cut_rejects_wrong_parent():
@@ -255,7 +248,7 @@ def test_even_general(n):
     assert not plan.gc
     assert plan.tree == Construction("even_general", (("n", n),))
     assert len(plan.pinned) == 1
-    assert verify_plan(plan, 1e-9, expected=Q_GENERIC).ok
+    assert verify_plan(plan, 0, expected=Q_GENERIC).ok
 
 
 def test_even_general_rejects_four():

@@ -100,9 +100,9 @@ def test_verify_accepts_odd_exactly():
 
 
 def test_verify_approximate_plan_needs_tol():
-    # the frame ratio is bisected, so at tolerance zero the tiles misclassify
+    # float coordinates round, so at tolerance zero the tiles misclassify
     # without raising
-    plan = dissect_even_general(GenericQuad(F(1, 5), F(1, 2)), 6)
+    plan = dissect_odd(GenericQuad(0.2, 0.5), 5)
     strict = verify_plan(plan, 0)
     assert not strict.ok
     assert verify_plan(plan, 1e-9).ok
@@ -538,9 +538,8 @@ def _reference_cases():
     plans, float coordinates and the coprime-denominator plan."""
     for name, (smallest, make) in CONSTRUCTIONS.items():
         expected = Q_GENERIC if name == "trapezoid" else None
-        tol = 1e-9 if name == "even_general" else 0
         for n in sorted({smallest, 51}):
-            yield f"{name}-{n}", make(n), tol, expected
+            yield f"{name}-{n}", make(n), 0, expected
     for kind in ("overlap", "wrong_class", "outside"):
         for name in ("odd", "fan_T", "trapezoid"):
             expected = Q_GENERIC if name == "trapezoid" else None
