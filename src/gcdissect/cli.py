@@ -697,6 +697,10 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         code, doc = 2, {"error": str(exc)}
     except (GcError, ValueError) as exc:
         code, doc = 1, {"error": str(exc)}
+    except OverflowError as exc:
+        # an exact input too large for the float arithmetic it meets, such
+        # as a drawn coordinate or one beside float coordinates
+        code, doc = 1, {"error": f"number out of float range: {exc}"}
     _emit(doc)
     return code
 

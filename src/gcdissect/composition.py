@@ -29,11 +29,12 @@ product rows (Q . Q, Q : Q, Q . T, T . T) a factor: they glue single
 values a, b to a*b*m with m = max(factor(a), factor(b)).  decompose picks
 operand classes that glue to a given parent quad's class and cuts it with
 the row it solved, so every cut is checked.  The inverse is no
-column: a product row's follows from its forward piece and that m, and the
-factor also bounds the last level's lookup windows (glue_partners); the
+column: a product row's follows from its forward piece and that m; the
 mirror rows and P . P test a few members of each operand against their
-forward image.  The same inverse, against a wildcard operand, solves the
-classes one exact leaf glues to a target (partner_targets).  Rows work on
+forward image.  The same m, exact per quotient, gives the search's lookup
+windows (glue_partners), and, against a wildcard operand, the windows a
+set's pieces must meet for a leaf to glue it to a target within tol
+(partner_targets).  Rows work on
 pieces, which is what a ClassSet holds: a Q piece is a quotient with a range
 of betas, a T piece a range of ratios, and a P piece the parallelogram; a
 single class is the degenerate closed range.
@@ -67,7 +68,6 @@ from .affine_types import (
     Parallelogram,
     Trapezoid,
     affine_quotient,
-    flip,
     lerp,
 )
 from .errors import GlueingError, UnrealizableError
@@ -191,6 +191,9 @@ class Piece(NamedTuple):
     base: Optional[float] = None
     exponent: int = 1
 
+
+# A goal for a set's pieces (partner_targets): kind, quotient, parameter span.
+Window = tuple[str, Scalar, Span]
 
 # The tokens of T and P pieces, and of a generic leaf's own set.
 T_TOKEN, P_TOKEN = ("T",), ("P",)
@@ -715,40 +718,70 @@ def compose_sets(
 
 def glue_holds(
     left: ClassSet, left_flipped: bool, right: ClassSet, right_flipped: bool, op: Op,
-    targets: Iterable[AffineClass], tol: Scalar = 0,
+    targets: list, tol: Scalar = 0,
 ) -> bool:
-    """Whether compose_sets' result holds any of targets (member at tol),
-    tested piece by piece without building the set."""
+    """Whether compose_sets' result holds any of targets (member at tol), or
+    meets one when they are windows (partner_targets), tested piece by piece
+    without building the set."""
+    holds = _meets if targets and isinstance(targets[0], tuple) else _piece_holds
     return any(
-        _piece_holds(p, c, tol)
+        holds(p, c, tol)
         for row, _, a, b in _row_pairs(left, left_flipped, right, right_flipped, op)
         for p in row.forward(a, b)
         for c in targets
     )
 
 
+def _meets(p: Piece, window: Window, tol: Scalar) -> bool:
+    """Whether p has a parameter in window: the same kind and quotient, and
+    spans that touch; at tol 0 a point window must lie in p's span, whose
+    open ends stay open."""
+    kind, quotient, w = window
+    if p.kind != kind or p.quotient != quotient:
+        return False
+    if w.lo == w.hi and not tol:
+        return p.span.contains(w.lo)
+    return p.span.lo <= w.hi and w.lo <= p.span.hi
+
+
+def _value_range(c, tol: float) -> tuple[float, float]:
+    """The values target c admits: a window's span, or a class's value
+    (beta of Q, gamma of T) within tol."""
+    if isinstance(c, tuple):
+        return float(c[2].lo), float(c[2].hi)
+    t = float(c.gamma if isinstance(c, Trapezoid) else c.beta)
+    return t - tol, t + tol
+
+
 def glue_partners(
-    rights: Iterable[tuple[int, ClassSet, bool]], targets: Iterable[AffineClass], tol: Scalar = 0
+    rights: Iterable[tuple[int, ClassSet, bool]], targets: list, tol: Scalar = 0
 ) -> Callable[[ClassSet, bool, Op], set[int]]:
     """An index of right edges (position, set, flag): the returned function
     maps a left edge (set, flag) and an op to a superset of the positions of
-    the right edges with which it passes glue_holds.  On a product row,
-    single values a and b reach a target value t (beta of Q, gamma of T) only
-    if b is in [(t - tol)/a, (t + tol)/(a * factor(a))], widened by 1e-9
-    (relative) for roundoff, and found by bisect.  A piece with a real span,
-    or a row with no factor, admits every right edge of its pattern."""
-    points, spans = defaultdict(list), defaultdict(set)
+    the right edges with which it passes glue_holds against targets (classes
+    or windows).  On a product row, single values a and b glue to a*b*m, so
+    b reaches a target's values [lo, hi] only if it is in [lo/(a*m),
+    hi/(a*m)], widened for roundoff and found by bisect.  The right point
+    pieces are grouped by kind, flag and quotient (for a float leaf's, by
+    exponent), so each group has its exact m = max(factor(a), factor(b)).
+    A piece with a real span, or a row with no factor, admits every right
+    edge of its pattern."""
+    points: dict[tuple, list] = defaultdict(list)
+    spans: dict[tuple, set[int]] = defaultdict(set)
     for j, s, f in rights:
         for b in s._flagged if f else s.pieces:
             if b.span is not None and b.span.lo == b.span.hi:
-                points[b.kind, b.flag].append((float(b.span.lo), j))
+                points[b.kind, b.flag, float(b.quotient)].append((float(b.span.lo), j))
             else:
                 spans[b.kind, b.flag].add(j)
-    index = {key: tuple(zip(*sorted(vj))) for key, vj in points.items()}
+    # (kind, flag) -> per quotient (a piece of it, its sorted values, their positions);
+    # float quotients that round together differ by less than the widening
+    index: dict[tuple, list] = defaultdict(list)
+    for (kind, flag, q), vj in points.items():
+        index[kind, flag].append((Piece(kind, flag, None, q), *zip(*sorted(vj))))
+    every = {key: {j for *_, js in g for j in js} for key, g in index.items()}
     keys = index.keys() | spans.keys()
-    ts = [float(c.gamma if isinstance(c, Trapezoid) else c.beta)
-          for c in targets if not isinstance(c, Parallelogram)]
-    tol = float(tol)
+    ranges = [_value_range(c, float(tol)) for c in targets if not isinstance(c, Parallelogram)]
 
     def partners(left: ClassSet, left_flipped: bool, op: Op) -> set[int]:
         out: set[int] = set()
@@ -758,47 +791,76 @@ def glue_partners(
                 if found is None:
                     continue
                 out |= spans[key]
-                values, js = index.get(key, ((), ()))
                 factor = found[0].factor
                 if factor is None or a.span.lo != a.span.hi:
-                    out.update(js)
+                    out.update(every.get(key, ()))
                     continue
-                x, m = float(a.span.lo), float(factor(a))
-                for t in ts:
-                    hi = (t + tol) / (x * m)
-                    lo = bisect_left(values, (t - tol) / x - 1e-9 * hi)
-                    out.update(js[lo:bisect_right(values, hi * (1 + 1e-9))])
+                x, fa = float(a.span.lo), float(factor(a))
+                for b, values, js in index.get(key, ()):
+                    xm = x * max(fa, factor(b))
+                    for lo, hi in ranges:
+                        hi /= xm
+                        out.update(js[bisect_left(values, lo / xm - 1e-9 * hi):
+                                      bisect_right(values, hi * (1 + 1e-9))])
         return out
 
     return partners
 
 
 def partner_targets(
-    leaf: AffineClass, exponents: Iterable[int], targets: list[AffineClass]
-) -> Optional[list[AffineClass]]:
-    """The classes c that an exact leaf, glued to c under either op and any
-    edge flags, can give one of targets, by _inverse at tol 0 against a
-    wildcard right operand: a T piece and, per exponent j, a Q piece of
-    quotient q ** j (q the leaf's), each spanning (0, 1).  c is the right
-    operand's effective member; a generic one comes with its flip, so a set
-    holds one whatever its edge flag.  None when a row met has no factor:
-    its inverse is no exact solve, and no class is ruled out."""
+    leaf: AffineClass, exponents: Iterable[int], targets: list[AffineClass], tol: Scalar = 0
+) -> Optional[list[Window]]:
+    """Windows (kind, quotient, span) that a set's pieces must meet (_meets)
+    for the leaf, glued to the set under either op and any edge flags, to
+    give one of targets within tol.
+
+    The rows are run against a wildcard operand: a T piece and, per exponent
+    j, a Q piece of quotient q ** j (a float leaf's as a power of q, as glued
+    pieces are), each over (0, 1).  A product row glues the leaf's value x
+    and the partner's y to x*y*m, so a target value t needs y in
+    [(t - tol)/(x*m), (t + tol)/(x*m)], and the glued quotient must pass
+    may_hold.  On a flagged Q edge the window is taken back through the
+    flip, so every window is a span of the stored piece; see _window.  An
+    exact leaf at tol 0 gets closed points.  None when a row met has no
+    factor: no piece is ruled out."""
+    tol = tol or 0  # a float 0 would turn exact windows into floats
+    lp = _piece(leaf)
     whole = Span(0, False, 1, False)
-    q = affine_quotient(leaf)
-    wildcard = ClassSet((_t(whole), *(Piece("Q", False, whole, q**j) for j in sorted(exponents))))
-    out: dict[AffineClass, None] = {}
+    wildcard = ClassSet(
+        (_t(whole), *(_glued_q(whole, lp, lp, j, lp.quotient**j) for j in sorted(exponents)))
+    )
+    out: dict[Window, None] = {}
     for op in Op:
         for fl in (False, True):
             for f2 in (False, True):
                 for row, swapped, a, b in _row_pairs(singleton(leaf), fl, wildcard, f2, op):
                     if row.factor is None:
                         return None
-                    for target in targets:
-                        pair = _inverse(row, a, b, target, 0)
-                        if pair:
-                            c = pair[0] if swapped else pair[1]
-                            out.update(dict.fromkeys([c, flip(c)] if _kind(c) == "Q" else [c]))
+                    (p,) = row.forward(a, b)
+                    partner, x = (a, b.span.lo) if swapped else (b, a.span.lo)
+                    xm = x * max(row.factor(a), row.factor(b))
+                    for c in targets:
+                        if _kind(c) != p.kind:
+                            continue
+                        t = c.beta if p.kind == "Q" else c.gamma
+                        w = _window((t - tol) / xm, (t + tol) / xm, tol)
+                        if w and f2 and partner.kind == "Q":
+                            w = _window(*_flip_betas(partner.quotient, w)[::2], tol)
+                        if w and may_hold(((p.kind, p.quotient),), c, tol):
+                            out[partner.kind, partner.quotient, w] = None
     return list(out)
+
+
+def _window(lo: Scalar, hi: Scalar, tol: Scalar) -> Optional[Span]:
+    """The closed span [lo, hi], widened by 1e-9 of hi for roundoff when
+    float, clipped to [0, 1]; None when it misses (0, 1) (at tol 0, a point
+    at 0 or 1 does too)."""
+    if not is_exact(lo):
+        lo, hi = lo - 1e-9 * abs(hi), hi + 1e-9 * abs(hi)
+    lo, hi = max(lo, 0), min(hi, 1)
+    if lo > hi or lo == hi and not (tol or 0 < lo < 1):
+        return None
+    return Span(lo, True, hi, True)
 
 
 def decompose(

@@ -91,7 +91,7 @@ def scalar_to_json(x: Scalar) -> object:
 
 def scalar_from_json(obj: object) -> Scalar:
     """Inverse of scalar_to_json; refuses malformed and non-finite values,
-    and booleans, with ValueError."""
+    booleans, and decimals too large for a float, with ValueError."""
     try:
         if isinstance(obj, str):
             return Fraction(obj)
@@ -99,6 +99,6 @@ def scalar_from_json(obj: object) -> Scalar:
             return _finite(float(obj["dec"]), obj)
         if is_exact(obj):
             return Fraction(obj)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"bad scalar encoding: {obj!r}") from exc
     raise ValueError(f"bad scalar encoding: {obj!r}")

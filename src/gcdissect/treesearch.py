@@ -15,9 +15,11 @@ to back-pointers, made by glueing unordered pairs of flagged lower-level
 sets, each pair once.  At level n only the pairs an index lookup finds
 (composition.glue_partners) are tested piece by piece (glue_holds), and
 only the sets that contain the class are built and expanded into trees.
-Level n - 1 is glued only to the leaf, so in an exact search it builds, the
-same way, only the sets holding a class the leaf glues to the class
-(composition.partner_targets).
+Level n - 1 is glued only to the leaf, so for every generic leaf, exact or
+float and at any tol, it builds the same way only the sets with a piece in
+a window through which the leaf glues to the class
+(composition.partner_targets); trapezoid and parallelogram leaves meet
+rows with no factor and keep the whole level.
 
 The same level pass on token sets (composition.glue_tokens, the table's
 token column) holds a handful of sets per level, the same for every leaf of
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
-from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, class_is_exact, flip
+from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
 from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, compose_sets, glue_tokens
 from .composition import glue_holds, glue_partners, may_hold, member, partner_targets, singleton
 from .errors import SearchCapError
@@ -292,24 +294,27 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     up the admitted right edges that can glue with it to the class
     (glue_partners), tests those pairs in order with glue_holds, member on
     each forward piece, and builds only the sets holding the class or its
-    flip.  For n >= 3, level n - 1 only meets the leaf, at level n.  When
-    the leaf is exact and tol is 0, level n - 1 runs the same branch once a
-    pair there is marked, with the classes the leaf glues to the class or
-    its flip in place of the targets (composition.partner_targets, solved
-    then by the rows' inverse); a leaf meeting a row with no factor (T and
+    flip.  For n >= 3, level n - 1 only meets the leaf, at level n, so it
+    runs the same branch once a pair there is marked, for any leaf class
+    and tol, with windows in place of the targets: the kind, quotient and
+    parameter span a piece needs for the leaf to glue it to the class or
+    its flip within tol (composition.partner_targets, solved then from the
+    product rows' factor), and a glued set is built only when one of its
+    forward pieces meets one.  A leaf meeting a row with no factor (T and
     P) keeps the whole level.  Every pair on a path to a hit is marked,
     found, passes that test and keeps its place, so the hits and their
     order are those of glueing every pair.  Each level logs its counts on
     the "gcdissect.treesearch" debug logger (on a level that builds only
-    holders: sets kept, marked pairs, candidates tested, targets).
+    holders: sets kept, marked pairs, candidates tested, targets or
+    windows).
     """
     _check_size(n)
     targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
     ids, moves, marked = _skeleton(leaf, n, targets, tol)
-    exact = tol == 0 and n >= 3 and class_is_exact(leaf)
-    # goals[k]: the classes whose holders are the only sets level k builds;
-    # a level without one (or with None) builds every set it glues.  Level
-    # n - 1's are solved at its first marked pair, so an empty search solves none.
+    # goals[k]: the classes (or windows) whose holders are the only sets level
+    # k builds; a level without one (or with None) builds every set it glues.
+    # Level n - 1's are solved at its first marked pair, so an empty search
+    # solves none.
     goals: dict[int, list | None] = {n: targets}
 
     # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
@@ -343,9 +348,11 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                 glued += len(js)
                 if not js:
                     continue
-                if exact and k == n - 1 and k not in goals:
-                    goals[k] = _partner_targets(leaf, ids[k], marked[n], targets)
+                if k == n - 1 and k not in goals:
+                    goals[k] = _partner_targets(leaf, ids[k], marked[n], targets, tol)
                 goal = goals.get(k)
+                if goal == []:
+                    continue  # no target or window, so no set here is built
                 if goal is not None:
                     if k1 not in partners:
                         wanted = {(m[3], m[4]) for m in marked[k] if m[0] == k1}
@@ -430,14 +437,14 @@ def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list
 
 
 def _partner_targets(
-    leaf: AffineClass, ids_below: dict, marked_n: set, targets: list
+    leaf: AffineClass, ids_below: dict, marked_n: set, targets: list, tol
 ) -> list | None:
-    """composition.partner_targets for level n - 1 of a search, ids_below
-    its token sets: the Q exponents are those of the sets that marked
-    level-n moves with the leaf on the left (k1 = 1) take."""
+    """composition.partner_targets at tol for level n - 1 of a search,
+    ids_below its token sets: the Q exponents are those of the sets that
+    marked level-n moves with the leaf on the left (k1 = 1) take."""
     tokens = {i: toks for toks, i in ids_below.items()}
     exponents = {tok[1] for m in marked_n if m[0] == 1 for tok in tokens[m[3]] if tok[0] == "Q"}
-    return partner_targets(leaf, exponents, targets)
+    return partner_targets(leaf, exponents, targets, tol)
 
 
 # Module-level, not a closure over the levels: a recursive closure is a

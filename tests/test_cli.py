@@ -352,6 +352,20 @@ def test_cli_verify_corrupt_file(capsys, tmp_path):
             assert "error" in doc
 
 
+def test_cli_numbers_beyond_float_range_exit_with_json(capsys, tmp_path):
+    # A float coordinate that overflows is a format error; an exact one is
+    # kept exactly, so verify reports the plan as failing, and render, which
+    # draws in float, refuses it.
+    doc = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
+    path, svg = tmp_path / "plan.json", str(tmp_path / "plan.svg")
+    for value, codes in (({"dec": 10**400}, (2, 2)), ("9" * 400, (1, 1))):
+        doc["tiles"][0]["points"][0][0] = value
+        path.write_text(json.dumps(doc))
+        for command, code in zip((["verify"], ["render", "--svg", svg]), codes):
+            got, out = _run(capsys, *command, "--plan", str(path))
+            assert got == code and ("error" in out or out["ok"] is False), (value, command)
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
@@ -610,3 +624,41 @@ def test_fuzz_cli_argv(data):
     tokens = st.sampled_from(FUZZ_TOKENS[command] + FUZZ_VALUES)
     argv = [command, *data.draw(st.lists(tokens, max_size=6))]
     assert _exit_code(argv) in (0, 1, 2)
+
+
+MUTATION_PLANS = tuple(
+    json.loads(dumps_plan(plan, cls, tol))
+    for plan, cls, tol in (
+        (dissect_odd(Q_GENERIC, 7), Q_GENERIC, 0.0),
+        (dissect_por5(Q_GENERIC), Q_GENERIC, 0.0),
+        (dissect_even_general(Q_GENERIC, 6), Q_GENERIC, 0.0),
+        (dissect_trapezoid_selfaffine(Trapezoid(F(1, 3)), 4), Trapezoid(F(1, 3)), 0.0),
+        (dissect_odd(GenericQuad(0.2, 0.5), 5), GenericQuad(0.2, 0.5), 1e-9),
+    )
+)
+MUTATION_VALUES = (
+    None, True, False, 0, -1, 1e308, float("nan"), "1/0", "", {"dec": "nan"}, {"dec": 10**400},
+    [], {}, 10**400, "9" * 400, "7" * 5000,
+)
+
+
+def test_seeded_plan_mutations_end_in_one_json_document(tmp_path):
+    # 300 mutations (random.Random(1)) of valid plans, 1 to 3 edits each: an
+    # edit deletes a key or sets a value from MUTATION_VALUES.  verify and
+    # render each end in exit 0, 1 or 2 with one JSON document on stdout.
+    rng = random.Random(1)
+    plan, svg = tmp_path / "plan.json", str(tmp_path / "plan.svg")
+    for i in range(300):
+        doc = copy.deepcopy(rng.choice(MUTATION_PLANS))
+        for _ in range(rng.randint(1, 3)):
+            path = rng.choice(list(_paths(doc))[1:])
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and rng.random() < 0.25:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(rng.choice(MUTATION_VALUES))
+        plan.write_text(json.dumps(doc))
+        for argv in (["verify", "--plan", str(plan)], ["render", "--plan", str(plan), "--svg", svg]):
+            assert _exit_code(argv) in (0, 1, 2), (i, argv[0])

@@ -468,30 +468,44 @@ def test_last_level_composes_few_pairs(monkeypatch):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), n) == []
         assert calls == [] and inverses == [], n
     # With hits, levels 2 and 3 glue 6 + 30 pairs.  Level 4 tests 6 of its
-    # 171 marked pairs and builds the 5 sets holding T(4/5), the one class
-    # the leaf glues to the class or its flip; the last level tests 53 of
-    # its 310 marked pairs and builds only the 5 that hold the class.
+    # 171 marked pairs and builds the 5 sets holding T(4/5), the one window
+    # through which the leaf glues to the class or its flip; the last level
+    # tests 10 of its 310 marked pairs and builds only the 5 that hold the class.
     assert len(search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 5)) == 6
     assert len(calls) == 47
 
 
+# Exact leaves at tol 0, where the windows are points, and the float and
+# positive-tol cases of the search's reference test.
 @pytest.mark.parametrize(
-    "leaf",
-    [GenericQuad(F(1, 5), F(1, 2)), GenericQuad(F(3, 4), F(4, 5)), GenericQuad(F(2, 5), F(1, 2))],
-    ids=["generic", "kite", "flipped-partner"],
+    "leaf, tol",
+    [
+        (GenericQuad(F(1, 5), F(1, 2)), 0),
+        (GenericQuad(F(3, 4), F(4, 5)), 0),
+        (GenericQuad(F(2, 5), F(1, 2)), 0),
+        (GenericQuad(0.5, 2 * (2**0.5 - 1)), 1e-9),
+        (GenericQuad(0.3, 0.3 + 1e-12), 1e-9),
+        (GenericQuad(F(3, 4), F(4, 5)), F(1, 10)),
+        (GenericQuad(0.3, 0.35), 0.4),
+    ],
+    ids=["generic", "kite", "flipped-partner", "family-II", "near-unit-12-tol", "kite-tol-1/10",
+         "float-tol-above-beta"],
 )
-def test_partner_targets_are_held_by_every_set_the_leaf_glues_to_the_class(leaf):
-    # Level n - 1 keeps only the sets holding a partner target: every set of
-    # up to four leaves that the leaf glues to the class (either op, any
-    # flags) must hold one, and Q(1/5,1/2) has the one, T(4/5).
+def test_partner_targets_are_held_by_every_set_the_leaf_glues_to_the_class(leaf, tol):
+    # Level n - 1 keeps only the sets with a piece meeting a partner window:
+    # every set of up to four leaves that the leaf glues to the class within
+    # tol (either op, any flags) must have one, and Q(1/5,1/2) has the one
+    # window, the point T(4/5).
     levels, targets = _small_sets(leaf)
-    found = partner_targets(leaf, range(1, 5), targets)
+    windows = partner_targets(leaf, range(1, 5), targets, tol)
     for s in (s for sets in levels.values() for s in sets):
         for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
-            if glue_holds(singleton(leaf), f1, s, f2, op, targets):
-                assert any(member(s, c) for c in found), (s, f1, f2, op)
+            if glue_holds(singleton(leaf), f1, s, f2, op, targets, tol):
+                assert any(composition._meets(p, w, tol) for p in s.pieces for w in windows), (
+                    s, f1, f2, op)
+    assert all(0 <= w.lo <= w.hi <= 1 for _, _, w in windows)
     if leaf == GenericQuad(F(1, 5), F(1, 2)):
-        assert found == [Trapezoid(F(4, 5))]
+        assert windows == [("T", 1, composition.Span(F(4, 5), True, F(4, 5), True))]
 
 
 def test_partner_targets_refuse_rows_without_factor():
@@ -514,7 +528,7 @@ def test_search_logs_counts_per_level(caplog):
     # last level, and at level n - 1 of an exact search once a pair there is
     # marked, (sets kept, marked pairs, candidates tested, targets), since
     # only the candidates the lookup returns are tested, and only sets
-    # holding a target are built
+    # holding a target (meeting a window at level n - 1) are built
     with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 4) == []
     assert _level_counts(caplog.records) == {
@@ -529,8 +543,30 @@ def test_search_logs_counts_per_level(caplog):
         2: (2, 8, 8, 6, 6),
         3: (2, 10, 10, 20, 30),
         4: (4, 30, 22, 5, 171, 6, 1),
-        5: (3, 40, 18, 5, 310, 53, 2),
+        5: (3, 40, 18, 5, 310, 10, 2),
     }
+
+
+def test_float_family_point_filters_level_n_minus_1(monkeypatch, caplog):
+    # A float leaf at tol 1e-9 filters level 4 by its partner windows too:
+    # it keeps 7 of the sets it glues (114 unfiltered), and the whole search
+    # composes 58 pairs for its 20 hits.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compose_sets(*args)
+
+    monkeypatch.setattr(treesearch, "compose_sets", counting)
+    with caplog.at_level(logging.DEBUG, logger="gcdissect.treesearch"):
+        assert len(search_self_affine(GenericQuad(0.5, 2 * (2**0.5 - 1)), 5, 1e-9)) == 20
+    assert _level_counts(caplog.records) == {
+        2: (2, 8, 8, 6, 6),
+        3: (2, 10, 10, 23, 30),
+        4: (4, 30, 22, 7, 191, 8, 5),
+        5: (3, 40, 18, 12, 364, 14, 2),
+    }
+    assert len(calls) == 58
 
 
 def test_search_logger_has_no_handlers():
