@@ -8,11 +8,13 @@ and no boolean is read as a number.  The SVG renderer is deterministic:
 the same plan always produces the same bytes.
 
 Every subcommand returns (exit code, document) and main prints that one
-document as JSON on stdout; with --out, dissect and selfaffine write the
-plan to the file and print {"written": path}.  Exit codes: 0 on success,
-1 on a refusal (impossible dissection, failed verification, float input
-to the general constructions) with {"error": ...}, 2 on usage, file and
-plan-format errors.
+document on stdout as one line of compact JSON with sorted keys, written
+by json's C encoder (any indent would select its Python one); plans are
+written the same way and read in any layout.  With --out, dissect and
+selfaffine write the plan to the file and print {"written": path}.  Exit
+codes: 0 on success, 1 on a refusal (impossible dissection, failed
+verification, float input to the general constructions) with
+{"error": ...}, 2 on usage, file and plan-format errors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import functools
 import json
 import math
 import sys
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .affine_types import (
     AffineClass,
@@ -73,6 +75,8 @@ DEFAULT_FLOAT_TOL = 1e-9
 # well inside Python's default recursion limit of 1000.
 MAX_TILES = 400
 
+ScalarReader = Callable[[object], Scalar]
+
 
 # ---------------------------------------------------------------------------
 # class and scalar documents
@@ -97,17 +101,15 @@ def class_to_doc(cls: AffineClass) -> dict:
     return {"kind": "P"}
 
 
-def class_from_doc(doc: object) -> AffineClass:
+def class_from_doc(doc: object, read: ScalarReader = scalar_from_json) -> AffineClass:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise PlanFormatError(f"bad class object: {doc!r}")
     kind = doc["kind"]
     try:
         if kind == "Q":
-            return GenericQuad(
-                scalar_from_json(doc["alpha"]), scalar_from_json(doc["beta"])
-            )
+            return GenericQuad(read(doc["alpha"]), read(doc["beta"]))
         if kind == "T":
-            return Trapezoid(scalar_from_json(doc["gamma"]))
+            return Trapezoid(read(doc["gamma"]))
         if kind == "P":
             return Parallelogram()
     except (KeyError, ValueError) as exc:
@@ -145,19 +147,21 @@ def _point_to_doc(p: Point) -> list:
     return [scalar_to_json(p[0]), scalar_to_json(p[1])]
 
 
-def _point_from_doc(doc: object) -> Point:
+def _point_from_doc(doc: object, read: ScalarReader) -> Point:
     if not isinstance(doc, (list, tuple)) or len(doc) != 2:
         raise PlanFormatError(f"bad point: {doc!r}")
     try:
-        return (scalar_from_json(doc[0]), scalar_from_json(doc[1]))
+        return (read(doc[0]), read(doc[1]))
     except ValueError as exc:
         raise PlanFormatError(f"bad point: {doc!r}") from exc
 
 
-def _points_from_doc(doc: object, what: str) -> tuple[Point, Point, Point, Point]:
+def _points_from_doc(
+    doc: object, what: str, read: ScalarReader
+) -> tuple[Point, Point, Point, Point]:
     if not isinstance(doc, list) or len(doc) != 4:
         raise PlanFormatError(f"{what} must be a list of 4 points")
-    a, b, c, d = (_point_from_doc(p) for p in doc)
+    a, b, c, d = (_point_from_doc(p, read) for p in doc)
     return (a, b, c, d)
 
 
@@ -183,7 +187,9 @@ def tree_to_doc(t: Union[ExtTree, Construction]) -> dict:
     }
 
 
-def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
+def tree_from_doc(
+    doc: object, read: ScalarReader = scalar_from_json
+) -> Union[ExtTree, Construction]:
     if not isinstance(doc, dict):
         raise PlanFormatError(f"bad tree node: {doc!r}")
     if _bool_from_doc(doc, "leaf"):
@@ -196,7 +202,7 @@ def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
             raise PlanFormatError(f"bad construction params: {params!r}")
         try:
             items = tuple(
-                (k, v if type(v) is int else scalar_from_json(v))
+                (k, v if type(v) is int else read(v))
                 for k, v in params.items()
             )
         except ValueError as exc:
@@ -206,9 +212,9 @@ def tree_from_doc(doc: object) -> Union[ExtTree, Construction]:
         raise PlanFormatError(f"bad tree node: {doc!r}")
     return Node(
         Op.DOT if doc["op"] == "dot" else Op.COLON,
-        tree_from_doc(doc["left"]),
+        tree_from_doc(doc["left"], read),
         _bool_from_doc(doc, "flipL"),
-        tree_from_doc(doc["right"]),
+        tree_from_doc(doc["right"], read),
         _bool_from_doc(doc, "flipR"),
     )
 
@@ -253,6 +259,22 @@ def plan_to_doc(plan: DissectionPlan, cls: AffineClass, tol: float = 0.0) -> dic
     return doc
 
 
+def _scalar_reader() -> ScalarReader:
+    """scalar_from_json that decodes each distinct string once, for one
+    document: a plan repeats each vertex in up to four tiles and the cuts."""
+    memo: dict[str, Scalar] = {}
+
+    def read(obj: object) -> Scalar:
+        if type(obj) is not str:
+            return scalar_from_json(obj)
+        value = memo.get(obj)
+        if value is None:
+            value = memo[obj] = scalar_from_json(obj)
+        return value
+
+    return read
+
+
 def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
     """Rebuild (plan, tile class, declared tol) from a document."""
     if not isinstance(doc, dict):
@@ -262,18 +284,19 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
     for field in ("class", "gc", "tree", "root", "tiles"):
         if field not in doc:
             raise PlanFormatError(f"plan document lacks {field!r}")
-    cls = class_from_doc(doc["class"])
+    read = _scalar_reader()
+    cls = class_from_doc(doc["class"], read)
     declared = (doc["class"].get("tol", 0.0), doc.get("tol", 0.0))
     tol = max(_tol_from_doc(value) for value in declared)
-    root_pts = _points_from_doc(doc["root"], "root")
+    root_pts = _points_from_doc(doc["root"], "root", read)
     root_cls = classify_quadrangle(root_pts, tol=tol).cls
     root = LabeledQuad(root_cls, *root_pts)
     tiles = []
     for i, tdoc in enumerate(_list_from_doc(doc, "tiles")):
         if not isinstance(tdoc, dict):
             raise PlanFormatError(f"bad tile {i}: {tdoc!r}")
-        pts = _points_from_doc(tdoc.get("points"), f"tile {i}")
-        tiles.append(LabeledQuad(class_from_doc(tdoc.get("class")), *pts))
+        pts = _points_from_doc(tdoc.get("points"), f"tile {i}", read)
+        tiles.append(LabeledQuad(class_from_doc(tdoc.get("class"), read), *pts))
     cuts = []
     for i, cdoc in enumerate(_list_from_doc(doc, "cuts")):
         if not isinstance(cdoc, dict):
@@ -284,22 +307,22 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
                 raise ValueError(f"side indices {sides} are not integers in 0..3")
             cuts.append(
                 CutRecord(
-                    _points_from_doc(cdoc["parent"], f"cut {i} parent"),
-                    _point_from_doc(cdoc["start"]),
-                    _point_from_doc(cdoc["end"]),
+                    _points_from_doc(cdoc["parent"], f"cut {i} parent", read),
+                    _point_from_doc(cdoc["start"], read),
+                    _point_from_doc(cdoc["end"], read),
                     *sides,
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanFormatError(f"bad cut {i}: {cdoc!r}") from exc
     try:
-        pinned = tuple(scalar_from_json(x) for x in _list_from_doc(doc, "pinned"))
+        pinned = tuple(read(x) for x in _list_from_doc(doc, "pinned"))
     except ValueError as exc:
         raise PlanFormatError(f"bad pinned values: {doc['pinned']!r}") from exc
     plan = DissectionPlan(
         root=root,
         tiles=tuple(tiles),
-        tree=tree_from_doc(doc["tree"]),
+        tree=tree_from_doc(doc["tree"], read),
         pinned=pinned,
         gc=_bool_from_doc(doc, "gc"),
         cuts=tuple(cuts),
@@ -308,7 +331,7 @@ def plan_from_doc(doc: object) -> tuple[DissectionPlan, AffineClass, float]:
 
 
 def _dumps(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def dumps_plan(plan: DissectionPlan, cls: AffineClass, tol: float = 0.0) -> str:

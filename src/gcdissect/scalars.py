@@ -84,8 +84,8 @@ def parse_scalar(text: str) -> Scalar:
 def scalar_to_json(x: Scalar) -> object:
     """JSON form: exact -> 'p/q' string, float -> {'dec': repr}."""
     if is_exact(x):
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
+        # an int is its own numerator, over denominator 1
+        return f"{x.numerator}/{x.denominator}"
     return {"dec": repr(float(x))}
 
 

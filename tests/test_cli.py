@@ -80,6 +80,38 @@ def test_roundtrip_even_general():
     assert loaded.pinned == plan.pinned
 
 
+def test_dumps_plan_is_one_compact_line():
+    # one document per line: compact, keys sorted, so json's C encoder writes it
+    for plan, cls, tol in (
+        (dissect_odd(Q_GENERIC, 7), Q_GENERIC, 0.0),
+        (dissect_even_general(Q_GENERIC, 6), Q_GENERIC, 1e-9),
+        (dissect_odd(GenericQuad(0.2, 0.5), 5), GenericQuad(0.2, 0.5), 1e-9),
+    ):
+        text = dumps_plan(plan, cls, tol)
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def test_plan_strings_decode_alike_wherever_they_repeat():
+    # Each distinct string is decoded once per document; every occurrence,
+    # and every spelling of the same number, reads as Fraction(text) does.
+    plan = dissect_odd(Q_GENERIC, 7)
+    doc = json.loads(dumps_plan(plan, Q_GENERIC))
+    loaded, _, _ = plan_from_doc(doc)
+    seen = []
+    for tdoc, tile in zip(doc["tiles"], loaded.tiles):
+        for texts, point in zip(tdoc["points"], tile.points):
+            for text, x in zip(texts, point):
+                assert x == F(text)
+                seen.append(text)
+    assert len(set(seen)) < len(seen)
+    for i, tdoc in enumerate(doc["tiles"]):
+        p, q = tdoc["points"][0][0].split("/")
+        tdoc["points"][0][0] = f"{2 * int(p)}/{2 * int(q)}" if i % 2 else f" {p}/{q}"
+    respelled, _, _ = plan_from_doc(doc)
+    assert respelled.tiles == loaded.tiles == plan.tiles
+
+
 def test_class_doc_rational():
     doc = class_to_doc(Q_GENERIC)
     assert doc == {"kind": "Q", "alpha": "1/5", "beta": "1/2"}
@@ -164,6 +196,7 @@ def test_parse_points():
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
+    assert not out or out.count("\n") == 1 and out.endswith("\n")
     return code, json.loads(out) if out else None
 
 
@@ -333,6 +366,28 @@ def test_cli_selfaffine_refuses_below_five(capsys):
         code, doc = _run(capsys, "selfaffine", "--class", "Q:1/5,1/2", "--n", n)
         assert code == 1
         assert "dissect" in doc["error"], n
+
+
+def test_cli_verify_reads_indented_plans(capsys, tmp_path):
+    # plans written with indent=2 by earlier versions still load and verify
+    doc = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 7), Q_GENERIC))
+    path = tmp_path / "indented.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    code, report = _run(capsys, "verify", "--plan", str(path))
+    assert code == 0 and report["ok"]
+
+
+def test_cli_verify_carries_nothing_between_documents(capsys, tmp_path):
+    # a garbage string after a good document still exits 2, and the good one
+    # still verifies after it
+    doc = json.loads(dumps_plan(dissect_odd(Q_GENERIC, 5), Q_GENERIC))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    doc["tiles"][1]["points"][2][0] = "1/0"
+    bad.write_text(json.dumps(doc))
+    for path, expected in ((good, 0), (bad, 2), (good, 0)):
+        code, _ = _run(capsys, "verify", "--plan", str(path))
+        assert code == expected, path.name
 
 
 def test_cli_verify_missing_file(capsys):
@@ -534,14 +589,16 @@ def test_svg_deterministic():
 
 def _exit_code(argv):
     """Run the CLI as its console script would (a usage error is SystemExit)
-    and check that it printed JSON."""
+    and check that it printed one JSON document on one line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    json.loads(out.getvalue())
+    text = out.getvalue()
+    assert text.count("\n") == 1 and text.endswith("\n"), text
+    json.loads(text)
     return code
 
 

@@ -81,6 +81,20 @@ def test_json_rejects_garbage():
             scalar_from_json(bad)
 
 
+def test_json_strings_decode_as_fraction_does():
+    # the strings refused above, spellings a plan document may hold, and odd ones
+    for text in ("1/0", "2/4", " 3/4", "1.5", "-7/3", "+1/2", "1e3", "1_000/3", "0/5",
+                 "nan", "inf", "", "1 /2", "1/2/3", "0x10", "\u0663/4"):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError):
+                scalar_from_json(text)
+        else:
+            got = scalar_from_json(text)
+            assert type(got) is Fraction and got == expected, text
+
+
 def test_json_rejects_booleans():
     # bool is an int subclass; Fraction(True) would read true as 1
     for bad in (True, False):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -506,6 +507,24 @@ def test_partner_targets_are_held_by_every_set_the_leaf_glues_to_the_class(leaf,
     assert all(0 <= w.lo <= w.hi <= 1 for _, _, w in windows)
     if leaf == GenericQuad(F(1, 5), F(1, 2)):
         assert windows == [("T", 1, composition.Span(F(4, 5), True, F(4, 5), True))]
+
+
+def test_float_windows_are_widened_for_roundoff():
+    # The Q . T row glues the leaf's beta x and a trapezoid ratio y to x*y, so
+    # the flipped class, of beta t, needs y <= (t + tol)/x.  That bound is
+    # rounded: for this family II leaf the next float above it still glues to
+    # the flip within tol, so its window must reach past the bound.
+    leaf = GenericQuad(0.0625, family_beta(FamilyId.II, 0.0625))
+    target, tol = flip(leaf), 1e-9
+    x, t = leaf.beta, target.beta
+    y_hi = (t + tol) / x
+    y = math.nextafter(y_hi, 1)
+    assert glue_holds(singleton(leaf), False, singleton(Trapezoid(y)), False, Op.DOT, [target], tol)
+    piece = singleton(Trapezoid(y)).pieces[0]
+    windows = partner_targets(leaf, range(1, 5), [leaf, target], tol)
+    assert any(composition._meets(piece, w, tol) for w in windows)
+    bare = ("T", 1, composition.Span((t - tol) / x, True, y_hi, True))
+    assert not composition._meets(piece, bare, tol)
 
 
 def test_partner_targets_refuse_rows_without_factor():

@@ -9,8 +9,10 @@ each seed it prints one JSON line: the decide hit count over the first
 in order, and whether the first --certify certify requests all return [].
 A second line gives, per construction, the first 12 hex digits of a sha256
 over the plan documents (``cli.dumps_plan``, untampered) of the first
---plans plans requests.  Two checkouts give the same answers, hit order
-included, or the same plans, exactly when their lines agree.
+--plans plans requests, each rewritten in one layout (compact, sorted keys)
+so that only the documents' contents count.  Two checkouts give the same
+answers, hit order included, or the same plans, exactly when their lines
+agree.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ def certify_empty(seed: int, count: int) -> bool:
 
 
 def plan_hashes(seed: int, count: int) -> dict[str, str]:
-    """Digest per construction of the plan documents of the first count
-    plans requests at seed, in request order."""
+    """Digest per construction of the layout-free plan documents of the
+    first count plans requests at seed, in request order."""
     digests = defaultdict(hashlib.sha256)
     with tempfile.TemporaryDirectory() as workdir:
         wl = workloads.make("plans", seed, workdir)
         for i in range(count):
             req = wl.request(i)
-            text = cli.dumps_plan(wl.construct(req), req.cls, req.tol)
+            text = json.dumps(json.loads(cli.dumps_plan(wl.construct(req), req.cls, req.tol)),
+                              sort_keys=True)
             digests[req.kind].update(f"{i} {text}\n".encode())
     return {kind: d.hexdigest()[:12] for kind, d in digests.items()}
 
