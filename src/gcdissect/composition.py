@@ -57,7 +57,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .affine_types import (
@@ -79,6 +78,9 @@ class Op(Enum):
 
     DOT = "dot"
     COLON = "colon"
+
+    # Members are singletons: hash by identity in C, not Enum's hash of the name.
+    __hash__ = object.__hash__
 
     @property
     def symbol(self) -> str:
@@ -175,6 +177,20 @@ class QCurve:
         return GenericQuad(self.quotient * beta, beta)
 
 
+class cached_attribute:
+    """functools.cached_property without the lock Python 3.11 takes on a first
+    read: the value goes into the instance's __dict__, which later reads find."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Piece(NamedTuple):
     """One operand of the table: a kind, its edge flag and its span.
 
@@ -246,9 +262,23 @@ class ClassSet:
 
     # The pieces on a flagged edge, built once per set: search composes the
     # same subtree sets many times.
-    @cached_property
+    @cached_attribute
     def _flagged(self) -> tuple[Piece, ...]:
         return tuple(map(_flag, self.pieces))
+
+    # Stored on first use: Fraction hashes in Python code, and each dict
+    # operation on a set would hash every Fraction of its pieces again.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_attribute
+    def _hash(self) -> int:
+        return hash(self.pieces)
+
+    # Only the pieces are pickled: the stored hash holds str hashes, which
+    # differ from process to process.
+    def __getstate__(self) -> dict:
+        return {"pieces": self.pieces}
 
 
 def singleton(cls: AffineClass) -> ClassSet:
@@ -830,10 +860,11 @@ def partner_targets(
         (_t(whole), *(_glued_q(whole, lp, lp, j, lp.quotient**j) for j in sorted(exponents)))
     )
     out: dict[Window, None] = {}
+    leaf_set = singleton(leaf)
     for op in Op:
         for fl in (False, True):
             for f2 in (False, True):
-                for row, swapped, a, b in _row_pairs(singleton(leaf), fl, wildcard, f2, op):
+                for row, swapped, a, b in _row_pairs(leaf_set, fl, wildcard, f2, op):
                     if row.factor is None:
                         return None
                     (p,) = row.forward(a, b)

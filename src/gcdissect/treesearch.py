@@ -30,11 +30,12 @@ quotient_exponents and count_trees are the per-tree references the level
 passes are tested against.
 
 Canonical form quotients only by commutativity of the glueing operations:
-children of a node are ordered by (leaf count, serialized key, flag).  Flags
-are enumerated on every edge, including edges to leaves; a flag on a leaf
-edge is only redundant when the leaf class happens to be mirror-symmetric,
-so normalizing it away in general would lose trees (a trapezoid leaf needs
-mirror-placed copies already at n = 2).
+children of a node are ordered by (leaf count, serialized key, flag), so
+keys are compared only between equal leaf counts, and hit trees build their
+keys on first read.  Flags are enumerated on every edge, including edges to
+leaves; a flag on a leaf edge is only redundant when the leaf class happens
+to be mirror-symmetric, so normalizing it away in general would lose trees
+(a trapezoid leaf needs mirror-placed copies already at n = 2).
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ import logging
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
-from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, compose_sets, glue_tokens
-from .composition import glue_holds, glue_partners, may_hold, member, partner_targets, singleton
+from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, cached_attribute
+from .composition import compose_sets, glue_holds, glue_partners, glue_tokens, may_hold, member
+from .composition import partner_targets, singleton
 from .errors import SearchCapError
 
 DEFAULT_SEARCH_CAP = 8
@@ -81,11 +82,11 @@ class Node:
     right: "ExtTree"
     right_flip: bool
 
-    @cached_property
+    @cached_attribute
     def n_leaves(self) -> int:
         return self.left.n_leaves + self.right.n_leaves
 
-    @cached_property
+    @cached_attribute
     def key(self) -> str:
         lf = "F" if self.left_flip else ""
         rf = "F" if self.right_flip else ""
@@ -456,6 +457,9 @@ def _expand(levels: list[dict], k: int, s: ClassSet) -> list[ExtTree]:
     out = []
     for op, k1, s1, f1, s2, f2 in levels[k][s]:
         lefts, rights = _expand(levels, k1, s1), _expand(levels, k - k1, s2)
-        for t1, t2 in _pairs(lefts, rights, (k1, s1, f1) == (k - k1, s2, f2)):
+        if 2 * k1 < k:  # fewer leaves on the left already put it first
+            out += [Node(op, t1, f1, t2, f2) for t1 in lefts for t2 in rights]
+            continue
+        for t1, t2 in _pairs(lefts, rights, (s1, f1) == (s2, f2)):
             out.append(_ordered(op, t1, f1, t2, f2))
     return out

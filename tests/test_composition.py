@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -176,6 +177,32 @@ def test_q_flip_absorbed_at_construction():
     # a Q piece on a flagged edge is the piece of the flipped class, unflagged
     q = GenericQuad(F(1, 5), F(1, 2))
     assert _flag(_piece(q)) == _piece(flip(q))
+
+
+def test_class_sets_built_apart_hash_compare_and_find_each_other():
+    # A set stores its hash on first use; an equal set built later, before
+    # anything is stored on it, must hash alike and find the first in a dict.
+    pieces = [
+        _piece(GenericQuad(F(1, 5), F(1, 2))),
+        Piece("T", False, Interval(F(1, 3), False, F(1, 2), True)),
+        _piece(Parallelogram()),
+    ]
+    first = _class_set(pieces)
+    table = {first: "first"}
+    flagged = first._flagged
+    second = _class_set(reversed(pieces))
+    assert second is not first
+    assert hash(second) == hash(first) == hash(first.pieces)
+    assert first == second and second == first
+    assert table[second] == "first" and {second: "second"}[first] == "second"
+    assert second._flagged == flagged
+    # another set keeps its own hash and flagged pieces
+    other = singleton(Trapezoid(F(1, 3)))
+    assert hash(other) == hash(other.pieces) != hash(first)
+    assert other not in table and other._flagged != flagged
+    # a pickled set carries only its pieces, to be hashed where it is loaded
+    loaded = pickle.loads(pickle.dumps(first))
+    assert vars(loaded) == {"pieces": first.pieces} and table[loaded] == "first"
 
 
 # ---------------------------------------------------------------------------

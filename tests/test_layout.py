@@ -1,8 +1,9 @@
 """Module boundaries: no source module imports another module's private names,
 none uses the per-tree reference path, one function decides quotient ties,
 one function inverts the glueing rows, a class set holds only its pieces, a
-tree node takes one checked cut, the CLI prints from one place, and the
-verifier stays independent of the code whose plans it checks."""
+tree node takes one checked cut, the CLI prints from one place, the
+verifier stays independent of the code whose plans it checks, and no module
+caches an attribute through functools.cached_property."""
 
 from __future__ import annotations
 
@@ -153,4 +154,16 @@ def test_verifier_does_not_use_what_it_checks():
             ]
         elif (getattr(node, "id", None) or getattr(node, "attr", None)) == "cut_quad":
             offenders.append(f"line {node.lineno} uses cut_quad")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_source_module_uses_functools_cached_property():
+    # On Python 3.11 its first read on each instance takes a lock, a share
+    # of the search's time; composition.cached_attribute takes none.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in n.names] if isinstance(n, ast.ImportFrom) else []
+            if "cached_property" in (getattr(n, "id", None), getattr(n, "attr", None), *names):
+                offenders.append(f"{path.name}:{n.lineno} uses cached_property")
     assert not offenders, "\n".join(offenders)

@@ -35,7 +35,7 @@ from gcdissect import composition, treesearch
 from gcdissect.composition import (
     compose_sets, glue_holds, glue_partners, partner_targets, singleton,
 )
-from gcdissect.treesearch import _expand, _pairs, _with_flags, canonical
+from gcdissect.treesearch import _expand, _ordered, _pairs, _with_flags, canonical
 from test_composition import class_set
 
 F = Fraction
@@ -241,6 +241,41 @@ def test_search_matches_per_tree_reference(leaf, tol):
             assert canonical(h.tree).key == h.tree.key
         got = sorted((h.tree.key, repr(h.witness)) for h in hits)
         assert got == _reference_hits(leaf, n, tol), n
+
+
+def _expand_each_pair(levels, k, s):
+    """_expand with every node put in order by _ordered, equal splits or not."""
+    if k == 1:
+        return [LEAF]
+    out = []
+    for op, k1, s1, f1, s2, f2 in levels[k][s]:
+        lefts, rights = _expand_each_pair(levels, k1, s1), _expand_each_pair(levels, k - k1, s2)
+        for t1, t2 in _pairs(lefts, rights, (k1, s1, f1) == (k - k1, s2, f2)):
+            out.append(_ordered(op, t1, f1, t2, f2))
+    return out
+
+
+def test_expand_orders_trees_as_ordering_every_node_does():
+    # _expand orders only the nodes of equal splits; on made-up levels of
+    # two sets each, with three random back-pointers per set (at k = 6 one
+    # pairs a 3-leaf set with itself), its trees and their order are those
+    # of ordering every node.
+    rng = random.Random(5)
+    levels = [{}, {"1a": []}]
+    for k in range(2, 8):
+        levels.append({
+            f"{k}{name}": [
+                (rng.choice(list(Op)), k1, rng.choice(list(levels[k1])), rng.random() < 0.5,
+                 rng.choice(list(levels[k - k1])), rng.random() < 0.5)
+                for k1 in [rng.randint(1, k // 2) for _ in range(3)]
+            ]
+            for name in "ab"
+        })
+    for k in range(2, 8):
+        for s in levels[k]:
+            got = _expand(levels, k, s)
+            assert [t.key for t in got] == [t.key for t in _expand_each_pair(levels, k, s)]
+            assert all(canonical(t).key == t.key for t in got)
 
 
 # ---------------------------------------------------------------------------
