@@ -34,6 +34,7 @@ from .affine_types import (
     Parallelogram,
     Point,
     Trapezoid,
+    class_is_exact,
     classify_quadrangle,
     flip,
 )
@@ -51,7 +52,6 @@ from .realizer import (
 )
 from .scalars import (
     Scalar,
-    is_exact,
     parse_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -85,20 +85,14 @@ ScalarReader = Callable[[object], Scalar]
 def class_to_doc(cls: AffineClass) -> dict:
     """JSON object for a class; float parameters carry a tol field."""
     if isinstance(cls, GenericQuad):
-        doc = {
-            "kind": "Q",
-            "alpha": scalar_to_json(cls.alpha),
-            "beta": scalar_to_json(cls.beta),
-        }
-        if not (is_exact(cls.alpha) and is_exact(cls.beta)):
-            doc["tol"] = DEFAULT_FLOAT_TOL
-        return doc
-    if isinstance(cls, Trapezoid):
+        doc = {"kind": "Q", "alpha": scalar_to_json(cls.alpha), "beta": scalar_to_json(cls.beta)}
+    elif isinstance(cls, Trapezoid):
         doc = {"kind": "T", "gamma": scalar_to_json(cls.gamma)}
-        if not is_exact(cls.gamma):
-            doc["tol"] = DEFAULT_FLOAT_TOL
-        return doc
-    return {"kind": "P"}
+    else:
+        doc = {"kind": "P"}
+    if not class_is_exact(cls):
+        doc["tol"] = DEFAULT_FLOAT_TOL
+    return doc
 
 
 def class_from_doc(doc: object, read: ScalarReader = scalar_from_json) -> AffineClass:

@@ -34,7 +34,8 @@ mirror rows and P . P test a few members of each operand against their
 forward image.  The same m, exact per quotient, gives the search's lookup
 windows (glue_partners), and, against a wildcard operand, the windows a
 set's pieces must meet for a leaf to glue it to a target within tol
-(partner_targets).  Rows work on
+(partner_targets).  The search composes each pair the lookup returns once,
+with compose_sets, and then tests the built set (holds).  Rows work on
 pieces, which is what a ClassSet holds: a Q piece is a quotient with a range
 of betas, a T piece a range of ratios, and a P piece the parallelogram; a
 single class is the degenerate closed range.
@@ -647,21 +648,6 @@ for _row in ROWS:
     _TABLE.setdefault((_row.op, *_row.right, *_row.left), (_row, True))
 
 
-def _lookup(
-    op: Op, left: AffineClass, left_flip: bool, right: AffineClass, right_flip: bool
-) -> tuple[Row, bool]:
-    # as on pieces, a Q operand's flag is absorbed into its parameters
-    ka, kb = _kind(left), _kind(right)
-    fa, fb = left_flip and ka != "Q", right_flip and kb != "Q"
-    found = _TABLE.get((op, ka, fa, kb, fb))
-    if found is None:
-        pattern = f"{ka}{'^F' * fa} {op.symbol} {kb}{'^F' * fb}"
-        raise GlueingError(
-            f"no glueing row for {pattern}; the rows are {', '.join(r.name for r in ROWS)}"
-        )
-    return found
-
-
 def _tries(p: Piece, parent: AffineClass) -> Iterator[tuple[Piece, AffineClass]]:
     """Members of a T or P piece to test against parent, each as a one-member
     piece and its class: P itself; for T the parent's ratio g when the span
@@ -727,8 +713,15 @@ def combine(
     determinate rows, an interval-with-P for the mirror trapezoid rows).
     Undefined patterns raise GlueingError naming the pattern.
     """
-    _lookup(op, left, left_flipped, right, right_flipped)
-    return compose_sets(singleton(left), left_flipped, singleton(right), right_flipped, op)
+    ls, rs = singleton(left), singleton(right)
+    if next(_row_pairs(ls, left_flipped, rs, right_flipped, op), None) is None:
+        (a,) = ls._flagged if left_flipped else ls.pieces
+        (b,) = rs._flagged if right_flipped else rs.pieces
+        pattern = f"{a.kind}{'^F' * a.flag} {op.symbol} {b.kind}{'^F' * b.flag}"
+        raise GlueingError(
+            f"no glueing row for {pattern}; the rows are {', '.join(r.name for r in ROWS)}"
+        )
+    return compose_sets(ls, left_flipped, rs, right_flipped, op)
 
 
 def compose_sets(
@@ -746,20 +739,11 @@ def compose_sets(
     )
 
 
-def glue_holds(
-    left: ClassSet, left_flipped: bool, right: ClassSet, right_flipped: bool, op: Op,
-    targets: list, tol: Scalar = 0,
-) -> bool:
-    """Whether compose_sets' result holds any of targets (member at tol), or
-    meets one when they are windows (partner_targets), tested piece by piece
-    without building the set."""
-    holds = _meets if targets and isinstance(targets[0], tuple) else _piece_holds
-    return any(
-        holds(p, c, tol)
-        for row, _, a, b in _row_pairs(left, left_flipped, right, right_flipped, op)
-        for p in row.forward(a, b)
-        for c in targets
-    )
+def holds(s: ClassSet, goal: list, tol: Scalar = 0) -> bool:
+    """Whether s holds one of goal's classes (member at tol), or meets one of
+    its windows (partner_targets)."""
+    test = _meets if goal and isinstance(goal[0], tuple) else _piece_holds
+    return any(test(p, c, tol) for p in s.pieces for c in goal)
 
 
 def _meets(p: Piece, window: Window, tol: Scalar) -> bool:
@@ -788,8 +772,8 @@ def glue_partners(
 ) -> Callable[[ClassSet, bool, Op], set[int]]:
     """An index of right edges (position, set, flag): the returned function
     maps a left edge (set, flag) and an op to a superset of the positions of
-    the right edges with which it passes glue_holds against targets (classes
-    or windows).  On a product row, single values a and b glue to a*b*m, so
+    the right edges with which it glues to a set that holds one of targets
+    (holds: classes or windows).  On a product row, single values a and b glue to a*b*m, so
     b reaches a target's values [lo, hi] only if it is in [lo/(a*m),
     hi/(a*m)], widened for roundoff and found by bisect.  The right point
     pieces are grouped by kind, flag and quotient (for a float leaf's, by

@@ -13,11 +13,11 @@ the subtrees' sets, and few are distinct, so it runs level by level over
 leaf counts k = 2..n: level k maps each non-empty root set of k-leaf trees
 to back-pointers, made by glueing unordered pairs of flagged lower-level
 sets, each pair once.  At level n only the pairs an index lookup finds
-(composition.glue_partners) are tested piece by piece (glue_holds), and
-only the sets that contain the class are built and expanded into trees.
-Level n - 1 is glued only to the leaf, so for every generic leaf, exact or
-float and at any tol, it builds the same way only the sets with a piece in
-a window through which the leaf glues to the class
+(composition.glue_partners) are glued, each once (compose_sets), and only
+the built sets that contain the class (composition.holds) are kept and
+expanded into trees.  Level n - 1 is glued only to the leaf, so for every
+generic leaf, exact or float and at any tol, it keeps the same way only the
+sets with a piece in a window through which the leaf glues to the class
 (composition.partner_targets); trapezoid and parallelogram leaves meet
 rows with no factor and keep the whole level.
 
@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .affine_types import AffineClass, GenericQuad, Trapezoid, affine_quotient, flip
 from .composition import LEAF_TOKENS, P_TOKEN, T_TOKEN, ClassSet, Op, cached_attribute
-from .composition import compose_sets, glue_holds, glue_partners, glue_tokens, may_hold, member
+from .composition import compose_sets, glue_partners, glue_tokens, holds, may_hold, member
 from .composition import partner_targets, singleton
 from .errors import SearchCapError
 
@@ -293,19 +293,20 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     sets once, in a fixed order, when its move is marked; the glued set
     takes its token id from that move.  At level n a left edge first looks
     up the admitted right edges that can glue with it to the class
-    (glue_partners), tests those pairs in order with glue_holds, member on
-    each forward piece, and builds only the sets holding the class or its
-    flip.  For n >= 3, level n - 1 only meets the leaf, at level n, so it
-    runs the same branch once a pair there is marked, for any leaf class
-    and tol, with windows in place of the targets: the kind, quotient and
-    parameter span a piece needs for the leaf to glue it to the class or
-    its flip within tol (composition.partner_targets, solved then from the
-    product rows' factor), and a glued set is built only when one of its
-    forward pieces meets one.  A leaf meeting a row with no factor (T and
-    P) keeps the whole level.  Every pair on a path to a hit is marked,
-    found, passes that test and keeps its place, so the hits and their
-    order are those of glueing every pair.  Each level logs its counts on
-    the "gcdissect.treesearch" debug logger (on a level that builds only
+    (glue_partners), glues each of those candidates once, in order
+    (compose_sets), and keeps the built set only when it holds the class or
+    its flip (holds, member's test).  For n >= 3, level n - 1 only meets
+    the leaf, at level n, so when a pair there is marked it runs the same
+    branch, for any leaf class and tol, with windows in place of the
+    targets: the kind, quotient and parameter span a piece needs for the
+    leaf to glue it to the class or its flip within tol
+    (composition.partner_targets, solved before the level pass from the
+    product rows' factor), and a built set is kept only when one of its
+    pieces meets one.  A leaf meeting a row with no factor (T and P) keeps
+    the whole level.  Every pair on a path to a hit is marked, found,
+    passes that test and keeps its place, so the hits and their order are
+    those of glueing every pair.  Each level logs its counts on the
+    "gcdissect.treesearch" debug logger (on a level that keeps only
     holders: sets kept, marked pairs, candidates tested, targets or
     windows).
     """
@@ -313,10 +314,12 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
     targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
     ids, moves, marked = _skeleton(leaf, n, targets, tol)
     # goals[k]: the classes (or windows) whose holders are the only sets level
-    # k builds; a level without one (or with None) builds every set it glues.
-    # Level n - 1's are solved at its first marked pair, so an empty search
-    # solves none.
+    # k keeps; a level without one (or with None) keeps every set it glues.
+    # Level n - 1's are solved only when a pair there is marked, so an empty
+    # search solves none.
     goals: dict[int, list | None] = {n: targets}
+    if marked[n - 1]:
+        goals[n - 1] = _partner_targets(leaf, ids[n - 1], marked[n], targets, tol)
 
     # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
     # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left;
@@ -329,6 +332,7 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
         level: dict[ClassSet, list[tuple]] = {}
         token_ids: dict[ClassSet, int] = {}
         glued = tested = 0
+        goal = goals.get(k)
         partners.clear()
         for op, k1 in _splits(k):
             lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
@@ -347,13 +351,8 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                     )
                 js = js[bisect_left(js, i):] if same else js
                 glued += len(js)
-                if not js:
-                    continue
-                if k == n - 1 and k not in goals:
-                    goals[k] = _partner_targets(leaf, ids[k], marked[n], targets, tol)
-                goal = goals.get(k)
-                if goal == []:
-                    continue  # no target or window, so no set here is built
+                if not js or goal == []:
+                    continue  # with no target or window, no set here is kept
                 if goal is not None:
                     if k1 not in partners:
                         wanted = {(m[3], m[4]) for m in marked[k] if m[0] == k1}
@@ -366,12 +365,10 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                     tested += len(js)
                 for j in js:
                     s2, f2, i2 = rights[j]
-                    if goal is not None and not glue_holds(s1, f1, s2, f2, op, goal, tol):
-                        continue
                     root = compose_sets(s1, f1, s2, f2, op)
-                    level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
-                    token_ids.setdefault(root, moves[k][(k1, i1, f1, i2, f2, op)])
-        goal = goals.get(k)
+                    if goal is None or holds(root, goal, tol):
+                        level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+                        token_ids.setdefault(root, moves[k][(k1, i1, f1, i2, f2, op)])
         tail = ("%d sets kept, %d marked pairs, %d candidates tested, %d targets"
                 if goal is not None else "%d distinct sets, %d pairs glued")
         _log.debug(

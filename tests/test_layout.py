@@ -1,7 +1,8 @@
 """Module boundaries: no source module imports another module's private names,
 none uses the per-tree reference path, one function decides quotient ties,
 one function inverts the glueing rows, a class set holds only its pieces, a
-tree node takes one checked cut, the CLI prints from one place, the
+pair reaches the table only through the row pairs, a tree node takes one
+checked cut, the CLI prints from one place, the
 verifier stays independent of the code whose plans it checks, and no module
 caches an attribute through functools.cached_property."""
 
@@ -96,6 +97,24 @@ def test_class_set_holds_only_its_pieces():
             for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(n, ast.FunctionDef) and n.name in CONVERTERS
         ]
+    assert not offenders, "\n".join(offenders)
+
+
+# The piece-by-piece glue-and-test beside compose_sets, and combine's copy of
+# the table-key rule beside _row_pairs.
+SECOND_GLUE = {"glue_holds", "_lookup"}
+
+
+def test_pairs_reach_the_table_only_through_the_row_pairs():
+    # The search composes each candidate pair once and tests the built set,
+    # and combine finds its row through _row_pairs: no module defines or
+    # uses a second path from a pair of operands to the table.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(n, "name", None) or getattr(n, "id", None) or getattr(n, "attr", None)
+            if name in SECOND_GLUE:
+                offenders.append(f"{path.name}:{getattr(n, 'lineno', '?')} defines or uses {name}")
     assert not offenders, "\n".join(offenders)
 
 

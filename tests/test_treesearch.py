@@ -32,9 +32,7 @@ from gcdissect import (
     search_self_affine,
 )
 from gcdissect import composition, treesearch
-from gcdissect.composition import (
-    compose_sets, glue_holds, glue_partners, partner_targets, singleton,
-)
+from gcdissect.composition import compose_sets, glue_partners, holds, partner_targets, singleton
 from gcdissect.treesearch import _expand, _ordered, _pairs, _with_flags, canonical
 from test_composition import class_set
 
@@ -451,10 +449,14 @@ def test_float_points_hold_themselves():
 
 @GLUE_CASES
 def test_glue_holds_matches_member_of_composed_set(leaf, tol):
-    # The last level's piece test against member on the built set, over the
-    # non-empty sets of up to four leaves, every ordered pair of at most six
-    # leaves (every pair would take about half a minute), both ops, all flags.
+    # The last two levels' test of a built set (composition.holds) against
+    # member for a class and _meets for a window, over the sets glued from
+    # the non-empty sets of up to four leaves, every ordered pair of at most
+    # six leaves (every pair would take about half a minute), both ops, all
+    # flags; the windows are the level n - 1 ones of a generic leaf.
     levels, targets = _small_sets(leaf)
+    generic = isinstance(leaf, GenericQuad)
+    windows = partner_targets(leaf, range(1, 5), targets, tol) if generic else []
     for k1, k2 in itertools.product(levels, levels):
         if k1 + k2 > 6:
             continue
@@ -462,14 +464,17 @@ def test_glue_holds_matches_member_of_composed_set(leaf, tol):
             for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
                 root = compose_sets(a, f1, b, f2, op)
                 for target in targets:
-                    want = member(root, target, tol)
-                    assert glue_holds(a, f1, b, f2, op, [target], tol) == want, (a, f1, b, f2, op)
+                    assert holds(root, [target], tol) == member(root, target, tol), root
+                for w in windows:
+                    want = any(composition._meets(p, w, tol) for p in root.pieces)
+                    assert holds(root, [w], tol) == want, (root, w)
+                assert holds(root, targets, tol) == any(member(root, c, tol) for c in targets)
 
 
 @GLUE_CASES
 def test_glue_partners_hold_every_pair_glue_holds_accepts(leaf, tol):
     # The last level's lookup may return extra candidates but must miss no
-    # pair that glue_holds accepts, over the same pairs as above.
+    # pair whose glued set holds the target, over the same pairs as above.
     levels, targets = _small_sets(leaf)
     for k1, k2 in itertools.product(levels, levels):
         if k1 + k2 > 6:
@@ -481,13 +486,14 @@ def test_glue_partners_hold_every_pair_glue_holds_accepts(leaf, tol):
                 candidates = partners(a, f1, op)
                 for j, b, f2 in rights:
                     if j not in candidates:
-                        assert not glue_holds(a, f1, b, f2, op, [target], tol), (a, f1, b, f2, op)
+                        root = compose_sets(a, f1, b, f2, op)
+                        assert not member(root, target, tol), (a, f1, b, f2, op)
 
 
 def test_last_level_composes_few_pairs(monkeypatch):
     # An empty exact search marks no move, so it glues no pair of sets at all
     # and solves no level n - 1 targets.
-    calls, inverses = [], []
+    calls, inverses, row_pairs = [], [], []
 
     def counting(*args):
         calls.append(args)
@@ -497,18 +503,28 @@ def test_last_level_composes_few_pairs(monkeypatch):
         inverses.append(args)
         return inverse(*args)
 
-    inverse = composition._inverse
+    def counting_row_pairs(*args):
+        for pair in pairs_of(*args):
+            row_pairs.append(pair)
+            yield pair
+
+    inverse, pairs_of = composition._inverse, composition._row_pairs
     monkeypatch.setattr(treesearch, "compose_sets", counting)
     monkeypatch.setattr(composition, "_inverse", counting_inverse)
+    monkeypatch.setattr(composition, "_row_pairs", counting_row_pairs)
     for n in (6, 8):
         assert search_self_affine(GenericQuad(F(1, 5), F(1, 2)), n) == []
-        assert calls == [] and inverses == [], n
-    # With hits, levels 2 and 3 glue 6 + 30 pairs.  Level 4 tests 6 of its
-    # 171 marked pairs and builds the 5 sets holding T(4/5), the one window
-    # through which the leaf glues to the class or its flip; the last level
-    # tests 10 of its 310 marked pairs and builds only the 5 that hold the class.
+        assert calls == [] and inverses == [] and row_pairs == [], n
+    # With hits, levels 2 and 3 glue 6 + 30 pairs.  Level 4 composes the 6
+    # of its 171 marked pairs that the lookup finds and keeps the 5 sets
+    # holding T(4/5), the one window through which the leaf glues to the
+    # class or its flip; the last level composes the 10 of its 310 marked
+    # pairs that the lookup finds and keeps the 5 that hold the class.  The
+    # row piece pairs visited are those of the windows' solve and of each
+    # compose_sets call.
     assert len(search_self_affine(GenericQuad(F(1, 5), F(1, 2)), 5)) == 6
-    assert len(calls) == 47
+    assert len(calls) == 36 + 6 + 10
+    assert len(row_pairs) == 62
 
 
 # Exact leaves at tol 0, where the windows are points, and the float and
@@ -536,7 +552,8 @@ def test_partner_targets_are_held_by_every_set_the_leaf_glues_to_the_class(leaf,
     windows = partner_targets(leaf, range(1, 5), targets, tol)
     for s in (s for sets in levels.values() for s in sets):
         for op, f1, f2 in itertools.product(Op, (False, True), (False, True)):
-            if glue_holds(singleton(leaf), f1, s, f2, op, targets, tol):
+            root = compose_sets(singleton(leaf), f1, s, f2, op)
+            if any(member(root, c, tol) for c in targets):
                 assert any(composition._meets(p, w, tol) for p in s.pieces for w in windows), (
                     s, f1, f2, op)
     assert all(0 <= w.lo <= w.hi <= 1 for _, _, w in windows)
@@ -554,7 +571,8 @@ def test_float_windows_are_widened_for_roundoff():
     x, t = leaf.beta, target.beta
     y_hi = (t + tol) / x
     y = math.nextafter(y_hi, 1)
-    assert glue_holds(singleton(leaf), False, singleton(Trapezoid(y)), False, Op.DOT, [target], tol)
+    assert member(compose_sets(singleton(leaf), False, singleton(Trapezoid(y)), False, Op.DOT),
+                  target, tol)
     piece = singleton(Trapezoid(y)).pieces[0]
     windows = partner_targets(leaf, range(1, 5), [leaf, target], tol)
     assert any(composition._meets(piece, w, tol) for w in windows)

@@ -8,8 +8,10 @@ alternates from pair to pair, so a drift in the host's speed falls on both
 sides alike.  --seconds defaults to ``run_seconds`` in BENCHMARK.json.
 
 It prints one line per pair, then per end-to-end metric of BENCHMARK.json
-each side's median and quartiles and the number of pairs in which the
-change did better (by that metric's ``better``), and each side's failed and
+each side's median and quartiles, the number of pairs in which the change
+did better (by that metric's ``better``), and the median and quartiles of
+the per-pair ratio, change over parent within one pair, in which a drift of
+the host's speed within a batch cancels; then each side's failed and
 attempted request counts.  It exits 1 when any run reports
 ``"correct": false``.  It only runs the bench; it changes nothing in it.
 """
@@ -51,10 +53,12 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
         values = [[run["metrics"][name]["value"] for run in side] for side in zip(*pairs)]
         wins = sum(c < p if direction == "lower" else c > p for p, c in zip(*values))
         (p1, pm, p3), (c1, cm, c3) = map(quartiles, values)
+        r1, rm, r3 = quartiles([c / p for p, c in zip(*values)])
         lines.append(
             f"{name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}]; "
             f"change better in {wins} of {len(pairs)} ({direction} is better); "
-            f"median change {cm - pm:+.6g}, parent IQR {p3 - p1:.6g}"
+            f"median change {cm - pm:+.6g}, parent IQR {p3 - p1:.6g}; "
+            f"per-pair ratio change/parent {rm:.6g} [{r1:.6g}, {r3:.6g}]"
         )
     for label, side in zip(("parent", "change"), zip(*pairs)):
         failed = sum(run["failed"] for run in side)
