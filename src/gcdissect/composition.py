@@ -112,10 +112,6 @@ class Span(NamedTuple):
             return False
         return True
 
-    def scaled(self, c: Scalar) -> "Span":
-        """Image under multiplication by a constant 0 < c <= 1."""
-        return Span(self.lo * c, self.lo_closed, self.hi * c, self.hi_closed)
-
     def times(self, other: "Span") -> "Span":
         """{x*y : x in self, y in other}; an endpoint is attained iff both
         factors attain theirs."""
@@ -484,7 +480,7 @@ def _colon_qq(a: Piece, b: Piece) -> tuple[Piece, ...]:
     # betas scale by m = max(q1, q2), as in _inverse, also at a float tie;
     # powers of one base tie by exponent, other quotients by quotients_equal
     lo, hi = sorted((a.quotient, b.quotient))
-    betas = a.span.times(b.span).scaled(hi)
+    betas = a.span.times(b.span).times(_point(hi))
     shared = a.base is not None and a.base == b.base
     if a.exponent == b.exponent if shared else quotients_equal(lo, hi):
         return (_t(betas),)

@@ -12,22 +12,18 @@ The search does not evaluate trees one by one.  A root set depends only on
 the subtrees' sets, and few are distinct, so it runs level by level over
 leaf counts k = 2..n: level k maps each non-empty root set of k-leaf trees
 to back-pointers, made by glueing unordered pairs of flagged lower-level
-sets, each pair once.  At level n only the pairs an index lookup finds
-(composition.glue_partners) are glued, each once (compose_sets), and only
-the built sets that contain the class (composition.holds) are kept and
-expanded into trees.  Level n - 1 is glued only to the leaf, so for every
-generic leaf, exact or float and at any tol, it keeps the same way only the
-sets with a piece in a window through which the leaf glues to the class
-(composition.partner_targets); trapezoid and parallelogram leaves meet
-rows with no factor and keep the whole level.
+sets, each pair once.
 
 The same level pass on token sets (composition.glue_tokens, the table's
 token column) holds a handful of sets per level, the same for every leaf of
-one kind; parity reads it, and the search runs it first as a skeleton, and
-glues a pair of sets only when its tokens can reach a level-n root passing
-composition.may_hold.  Hits and their order do not change.  enumerate_trees,
-quotient_exponents and count_trees are the per-tree references the level
-passes are tested against.
+one kind; parity reads it, and the search runs it first, as a skeleton that
+plans the set pass: which pairs to glue (those whose tokens can reach a
+level-n root passing composition.may_hold), and what a kept set must hold
+at level n (the class) and at level n - 1 (a window through which the leaf
+glues to the class, composition.partner_targets).  The set pass builds only
+what the skeleton plans; hits and their order do not change.
+enumerate_trees, quotient_exponents and count_trees are the per-tree
+references the level passes are tested against.
 
 Canonical form quotients only by commutativity of the glueing operations:
 children of a node are ordered by (leaf count, serialized key, flag), so
@@ -283,102 +279,42 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
 
     A glued set's tokens (Q^k for quotient q^k, T, P), emptiness included,
     follow from its operands' tokens, flags and the op through the table's
-    token column (composition.glue_tokens), so the search runs in three
-    passes.  The skeleton is the token pass seeded with the leaf's kind:
-    every move (op and ordered pair of flagged token sets) and the token set
-    it glues to.  The backward pass marks the moves on a path to a level-n
-    token set whose quotients pass may_hold, a necessary condition of
-    member.  The set pass maps each non-empty root set of level k = 2..n to
-    its back-pointers, glueing each unordered pair of flagged lower-level
-    sets once, in a fixed order, when its move is marked; the glued set
-    takes its token id from that move.  At level n a left edge first looks
-    up the admitted right edges that can glue with it to the class
-    (glue_partners), glues each of those candidates once, in order
-    (compose_sets), and keeps the built set only when it holds the class or
-    its flip (holds, member's test).  For n >= 3, level n - 1 only meets
-    the leaf, at level n, so when a pair there is marked it runs the same
-    branch, for any leaf class and tol, with windows in place of the
-    targets: the kind, quotient and parameter span a piece needs for the
-    leaf to glue it to the class or its flip within tol
-    (composition.partner_targets, solved before the level pass from the
-    product rows' factor), and a built set is kept only when one of its
-    pieces meets one.  A leaf meeting a row with no factor (T and P) keeps
-    the whole level.  Every pair on a path to a hit is marked, found,
-    passes that test and keeps its place, so the hits and their order are
-    those of glueing every pair.  Each level logs its counts on the
-    "gcdissect.treesearch" debug logger (on a level that keeps only
-    holders: sets kept, marked pairs, candidates tested, targets or
-    windows).
+    token column (composition.glue_tokens), so the search first plans on
+    tokens (_skeleton): the moves each level follows and its goal.  The set
+    pass then builds what the plan admits.  It maps each non-empty root set
+    of level k = 2..n to its back-pointers, glueing each unordered pair of
+    flagged lower-level sets once, in a fixed order, when its move is in
+    the plan; the glued set takes its token id from that move.  On a level
+    with a goal, a left edge first looks up the admitted right edges that
+    can glue with it into the goal (glue_partners), glues each of those
+    candidates once, in order (compose_sets), and keeps the built set only
+    when it holds the goal (holds).  Every pair on a path to a hit is
+    planned, found, holds its goal and keeps its place, so the hits and
+    their order are those of glueing every pair.  Each level logs its
+    counts on the "gcdissect.treesearch" debug logger (on a level with a
+    goal: sets kept, marked pairs, candidates tested, targets or windows).
     """
     _check_size(n)
     targets = list(dict.fromkeys([leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]))
-    ids, moves, marked = _skeleton(leaf, n, targets, tol)
-    # goals[k]: the classes (or windows) whose holders are the only sets level
-    # k keeps; a level without one (or with None) keeps every set it glues.
-    # Level n - 1's are solved only when a pair there is marked, so an empty
-    # search solves none.
-    goals: dict[int, list | None] = {n: targets}
-    if marked[n - 1]:
-        goals[n - 1] = _partner_targets(leaf, ids[n - 1], marked[n], targets, tol)
-
+    ids, moves, follow, goals = _skeleton(leaf, n, targets, tol)
     # levels[k]: each non-empty root set of k-leaf trees -> its back-pointers
     # (op, k1, left set, left flag, right set, right flag), k1 leaves on the left;
     # edges[k]: (set, flag, token id) per set of levels[k] and flag
     levels: list[dict[ClassSet, list[tuple]]] = [{}, {singleton(leaf): []}]
     edges = [[], [(singleton(leaf), f, 0) for f in (False, True)]]
-    # k1 -> glue_partners over the level k - k1 edges that marked moves admit
-    partners: dict[int, Callable] = {}
     for k in range(2, n + 1):
-        level: dict[ClassSet, list[tuple]] = {}
-        token_ids: dict[ClassSet, int] = {}
-        glued = tested = 0
-        goal = goals.get(k)
-        partners.clear()
-        for op, k1 in _splits(k):
-            lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
-            # (id2, f2) -> positions of the right edges with that token id and flag
-            groups: dict[tuple, list[int]] = {}
-            for j, (_, f2, i2) in enumerate(rights):
-                groups.setdefault((i2, f2), []).append(j)
-            # (id1, f1) -> positions, ascending, of the right edges its marked moves admit
-            admitted: dict[tuple, list[int]] = {}
-            for i, (s1, f1, i1) in enumerate(lefts):
-                js = admitted.get((i1, f1))
-                if js is None:
-                    js = admitted[(i1, f1)] = sorted(
-                        j for (i2, f2), g in groups.items()
-                        if (k1, i1, f1, i2, f2, op) in marked[k] for j in g
-                    )
-                js = js[bisect_left(js, i):] if same else js
-                glued += len(js)
-                if not js or goal == []:
-                    continue  # with no target or window, no set here is kept
-                if goal is not None:
-                    if k1 not in partners:
-                        wanted = {(m[3], m[4]) for m in marked[k] if m[0] == k1}
-                        partners[k1] = glue_partners(
-                            ((j, s, f) for j, (s, f, i) in enumerate(rights) if (i, f) in wanted),
-                            goal, tol,
-                        )
-                    candidates = partners[k1](s1, f1, op)
-                    js = [j for j in js if j in candidates]
-                    tested += len(js)
-                for j in js:
-                    s2, f2, i2 = rights[j]
-                    root = compose_sets(s1, f1, s2, f2, op)
-                    if goal is None or holds(root, goal, tol):
-                        level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
-                        token_ids.setdefault(root, moves[k][(k1, i1, f1, i2, f2, op)])
+        goal = goals[k]
+        level, token_ids, glued, tested = _glue_level(edges, k, follow[k], goal, tol)
         tail = ("%d sets kept, %d marked pairs, %d candidates tested, %d targets"
                 if goal is not None else "%d distinct sets, %d pairs glued")
         _log.debug(
             "level %d: %d token sets, %d moves, %d marked, " + tail, k, len(ids[k]), len(moves[k]),
-            len(marked[k]), len(level), glued, *((tested, len(goal)) if goal is not None else ()),
+            sum(map(len, follow[k].values())), len(level), glued,
+            *((tested, len(goal)) if goal is not None else ()),
         )
         levels.append(level)
         edges.append([(s, f, i) for s, i in token_ids.items() for f in (False, True)])
 
-    partners.clear()  # expanding the hits needs no index
     hits = []
     for root in levels[n]:
         for target in targets:
@@ -386,6 +322,54 @@ def search_self_affine(leaf: AffineClass, n: int, tol=0) -> list[SearchHit]:
                 hits.extend(SearchHit(t, root, target) for t in _expand(levels, n, root))
                 break
     return hits
+
+
+def _glue_level(
+    edges: list, k: int, follow: dict, goal: list | None, tol
+) -> tuple[dict, dict, int, int]:
+    """Level k of the set pass, with _skeleton's follow[k] and goals[k]:
+    each kept root set -> its back-pointers, each kept set -> its token id,
+    and the counts of pairs glued and candidates tested."""
+    level: dict[ClassSet, list[tuple]] = {}
+    token_ids: dict[ClassSet, int] = {}
+    glued = tested = 0
+    # k1 -> glue_partners over the level k - k1 edges that follow admits
+    partners: dict[int, Callable] = {}
+    for op, k1 in _splits(k):
+        lefts, rights, same = edges[k1], edges[k - k1], 2 * k1 == k
+        # (id2, f2) -> positions of the right edges with that token id and flag
+        groups: dict[tuple, list[int]] = {}
+        for j, (_, f2, i2) in enumerate(rights):
+            groups.setdefault((i2, f2), []).append(j)
+        # (id1, f1) -> its moves, and the ascending positions of the right edges they admit
+        admitted: dict[tuple, tuple[dict, list[int]]] = {}
+        for i, (s1, f1, i1) in enumerate(lefts):
+            got = admitted.get((i1, f1))
+            if got is None:
+                to = follow.get((op, k1, i1, f1), {})
+                got = admitted[i1, f1] = to, sorted(j for e in to for j in groups.get(e, ()))
+            to, js = got
+            js = js[bisect_left(js, i):] if same else js
+            glued += len(js)
+            if not js or goal == []:
+                continue  # with no target or window, no set here is kept
+            if goal is not None:
+                if k1 not in partners:
+                    wanted = {e for (_, j1, _, _), es in follow.items() if j1 == k1 for e in es}
+                    partners[k1] = glue_partners(
+                        ((j, s, f) for j, (s, f, i) in enumerate(rights) if (i, f) in wanted),
+                        goal, tol,
+                    )
+                candidates = partners[k1](s1, f1, op)
+                js = [j for j in js if j in candidates]
+                tested += len(js)
+            for j in js:
+                s2, f2, i2 = rights[j]
+                root = compose_sets(s1, f1, s2, f2, op)
+                if goal is None or holds(root, goal, tol):
+                    level.setdefault(root, []).append((op, k1, s1, f1, s2, f2))
+                    token_ids.setdefault(root, to[i2, f2])
+    return level, token_ids, glued, tested
 
 
 def _token_pass(seed, n: int) -> tuple[list, list]:
@@ -411,10 +395,24 @@ def _token_quotients(toks: frozenset[tuple], q) -> list[tuple]:
     return [(tok[0], q ** _exponent(tok)) for tok in toks]
 
 
-def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list, list]:
-    """search_self_affine's skeleton and backward passes: ids and moves of the
-    token pass seeded with the leaf's kind, and marked[k], the moves on a
-    path to a level-n token set whose quotients pass may_hold."""
+def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list, list, list]:
+    """search_self_affine's plan, from the token pass seeded with the leaf's
+    kind (its ids and moves, returned for the level counts) and a backward
+    pass over it.  Per level k:
+
+    - follow[k]: (op, k1, id1, f1) -> {(id2, f2): glued id}, over the moves
+      on a path to a level-n token set whose quotients pass may_hold, a
+      necessary condition of member; id1 and id2 are token ids of levels k1
+      and k - k1, f1 and f2 edge flags.
+    - goals[k]: what a kept level-k set must hold (composition.holds), or
+      None to keep every glued set.  At level n, the targets.  Level n - 1
+      only meets the leaf, at level n, so once a move there is in follow
+      its goal is the windows: the kind, quotient and parameter span a
+      piece needs for the leaf to glue it to a target within tol
+      (composition.partner_targets, for the Q exponents of the sets that
+      level-n moves glue to the leaf), or None when a row met has no
+      factor (T and P leaves).  Every other level's is None.
+    """
     q = affine_quotient(leaf)
     kind = T_TOKEN if isinstance(leaf, Trapezoid) else P_TOKEN
     seed = LEAF_TOKENS if isinstance(leaf, GenericQuad) else frozenset({kind})
@@ -423,26 +421,20 @@ def _skeleton(leaf: AffineClass, n: int, targets: list, tol) -> tuple[list, list
     for toks, j in ids[n].items():
         if any(may_hold(_token_quotients(toks, q), t, tol) for t in targets):
             live[n].add(j)
-    marked = [set() for _ in range(n + 1)]
+    follow = [{} for _ in range(n + 1)]
     for k in range(n, 1, -1):
-        for move, j in moves[k].items():
+        for (k1, i1, f1, i2, f2, op), j in moves[k].items():
             if j in live[k]:
-                k1, i1, _, i2, _, _ = move
-                marked[k].add(move)
+                follow[k].setdefault((op, k1, i1, f1), {})[i2, f2] = j
                 live[k1].add(i1)
                 live[k - k1].add(i2)
-    return ids, moves, marked
-
-
-def _partner_targets(
-    leaf: AffineClass, ids_below: dict, marked_n: set, targets: list, tol
-) -> list | None:
-    """composition.partner_targets at tol for level n - 1 of a search,
-    ids_below its token sets: the Q exponents are those of the sets that
-    marked level-n moves with the leaf on the left (k1 = 1) take."""
-    tokens = {i: toks for toks, i in ids_below.items()}
-    exponents = {tok[1] for m in marked_n if m[0] == 1 for tok in tokens[m[3]] if tok[0] == "Q"}
-    return partner_targets(leaf, exponents, targets, tol)
+    goals = [None] * n + [targets]
+    if follow[n - 1]:
+        below = list(ids[n - 1])  # ids count up from 0 in insertion order
+        exponents = {tok[1] for (_, k1, _, _), to in follow[n].items() if k1 == 1
+                     for i2, _ in to for tok in below[i2] if tok[0] == "Q"}
+        goals[n - 1] = partner_targets(leaf, exponents, targets, tol)
+    return ids, moves, follow, goals
 
 
 # Module-level, not a closure over the levels: a recursive closure is a

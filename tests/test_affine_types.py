@@ -101,6 +101,17 @@ def test_flip_factor():
     assert flip_factor(GenericQuad(F(1, 2), F(2, 3))) == 1
 
 
+@pytest.mark.parametrize("cls", [Trapezoid(F(1, 3)), Parallelogram()], ids=["T", "P"])
+def test_mirrored_keeps_the_class_and_reverses_orientation(cls):
+    # A trapezoid or parallelogram keeps its class under the mirror
+    # relabeling, and the relabeled vertices are again its reference labeling.
+    lq = standard_placement(cls)
+    m = lq.mirrored()
+    assert m.cls == cls and m.is_ccw != lq.is_ccw
+    assert classify_quadrangle(m.points) == Classification(cls, (0, 1, 2, 3))
+    assert m.mirrored() == lq
+
+
 def test_canonicalize():
     assert canonicalize(GenericQuad(F(1, 4), F(5, 8))) == GenericQuad(F(1, 5), F(1, 2))
     assert canonicalize(GenericQuad(F(1, 5), F(1, 2))) == GenericQuad(F(1, 5), F(1, 2))

@@ -139,6 +139,63 @@ def test_decompose_refuses_an_open_end_at_every_tol(tol):
         )
 
 
+Q, T = GenericQuad, Trapezoid
+_ROWS = {row.name: row for row in ROWS}
+
+
+@pytest.mark.parametrize(
+    "left, right, parent, tol, want, row",
+    [
+        # Q . T glues to a Q piece, which cannot be the T parent; T . T can
+        (class_set(q_points=[Q(F(1, 5), F(1, 2))], t_points=[T(F(1, 2))]),
+         class_set(t_points=[T(F(1, 3))]), T(F(1, 6)), 0, (T(F(1, 2)), T(F(1, 3))), "T . T"),
+        # Q(1/5,1/2) . Q(1/4,5/8) has quotient 4/25, the parent 6/25, though
+        # its beta is the parent's
+        (class_set(q_points=[Q(F(1, 5), F(1, 2)), Q(F(3, 10), F(1, 2))]),
+         class_set(q_points=[Q(F(1, 4), F(5, 8))]), Q(F(3, 40), F(5, 16)), 0,
+         (Q(F(3, 10), F(1, 2)), Q(F(1, 4), F(5, 8))), "Q . Q"),
+        # the spans (1/20, 1/10) and (1/4, 1/2) glue to (1/80, 1/20), short
+        # of 3/50; tol does not widen that range
+        (class_set(t_points=[T(F(1, 5))], t_intervals=[Interval(F(1, 20), False, F(1, 10), False)]),
+         class_set(t_intervals=[Interval(F(1, 4), False, F(1, 2), False)]), T(F(3, 50)), F(1, 10),
+         (T(F(1, 5)), T(F(3, 10))), "T . T"),
+        # (1/10, 1/2) reaches 1/30 neither with 1/20 nor with [1/3, 1),
+        # which meets it only at its open end 1/10
+        (class_set(t_points=[T(F(2, 3))], t_intervals=[Interval(F(1, 10), False, F(1, 2), False)]),
+         class_set(t_points=[T(F(1, 20))], t_intervals=[Interval(F(1, 3), True, F(1), False)]),
+         T(F(1, 30)), 0, (T(F(2, 3)), T(F(1, 20))), "T . T"),
+    ],
+    ids=["kind", "quotient", "disjoint-spans", "open-end"],
+)
+def test_decompose_skips_pairs_that_cannot_reach_the_parent(left, right, parent, tol, want, row):
+    # The leading row pairs of each case cannot glue to the parent; decompose
+    # must pass over them and cut with the row of the first pair that can.
+    quad = standard_placement(parent)
+    got = decompose(left, False, right, False, Op.DOT, quad, tol)
+    assert got == _ROWS[row].cut(quad, *want, lambda: F(1))
+    assert member(combine(got[0].cls, False, got[1].cls, False, Op.DOT), parent)
+
+
+@pytest.mark.parametrize(
+    "row, parent, left, right, lam",
+    [
+        # the parent's ratio must lie above the smaller child ratio
+        ("T^F . T^F", T(F(1, 5)), T(F(1, 3)), T(F(1, 2)), 1),
+        ("T^F . T^F", T(F(1, 3)), T(F(1, 2)), T(F(1, 3)), 1),
+        # the child ratio must lie below the parent's, in either order
+        ("T^F . P", T(F(1, 3)), T(F(1, 2)), Parallelogram(), 1),
+        ("T^F . P", T(F(1, 3)), Parallelogram(), T(F(1, 3)), 1),
+        # a pinned ratio must be positive
+        ("P . P", Parallelogram(), Parallelogram(), Parallelogram(), 0),
+        ("P . P", Parallelogram(), Parallelogram(), Parallelogram(), -1),
+    ],
+    ids=["tt-below", "tt-at", "tp-above", "tp-at", "pp-zero", "pp-negative"],
+)
+def test_cuts_refuse_children_that_cannot_tile_the_parent(row, parent, left, right, lam):
+    with pytest.raises(UnrealizableError):
+        _ROWS[row].cut(standard_placement(parent), left, right, lambda: F(lam))
+
+
 def test_tp_dot_flagged():
     s = combine(Trapezoid(F(3, 10)), True, Parallelogram(), False, Op.DOT)
     assert s.t_intervals == (Interval(F(3, 10), False, F(1), False),)

@@ -1,10 +1,11 @@
 """Module boundaries: no source module imports another module's private names,
 none uses the per-tree reference path, one function decides quotient ties,
 one function inverts the glueing rows, a class set holds only its pieces, a
-pair reaches the table only through the row pairs, a tree node takes one
-checked cut, the CLI prints from one place, the
-verifier stays independent of the code whose plans it checks, and no module
-caches an attribute through functools.cached_property."""
+pair reaches the table only through the row pairs, only the search's
+skeleton reads token sets and solves goals, a tree node takes one checked
+cut, the CLI prints from one place, the verifier stays independent of the
+code whose plans it checks, and no module caches an attribute through
+functools.cached_property."""
 
 from __future__ import annotations
 
@@ -115,6 +116,29 @@ def test_pairs_reach_the_table_only_through_the_row_pairs():
             name = getattr(n, "name", None) or getattr(n, "id", None) or getattr(n, "attr", None)
             if name in SECOND_GLUE:
                 offenders.append(f"{path.name}:{getattr(n, 'lineno', '?')} defines or uses {name}")
+    assert not offenders, "\n".join(offenders)
+
+
+# Token-set readers: the skeleton plans the set pass from the token sets,
+# and solves each level's goal there.
+SKELETON_ONLY = {"partner_targets", "may_hold"}
+
+
+def test_only_the_skeleton_plans_the_search():
+    # In treesearch only _skeleton calls partner_targets and may_hold, and no
+    # function beside it turns token sets into windows, so the set pass
+    # carries out the skeleton's plan without reading token contents or the
+    # move layout.
+    offenders = []
+    for top in ast.parse((SRC / "treesearch.py").read_text(encoding="utf-8")).body:
+        for n in ast.walk(top):
+            if isinstance(n, ast.FunctionDef) and n.name == "_partner_targets":
+                offenders.append(f"treesearch.py:{n.lineno} defines _partner_targets")
+            if getattr(top, "name", None) == "_skeleton" or not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if name in SKELETON_ONLY:
+                offenders.append(f"treesearch.py:{n.lineno} calls {name}")
     assert not offenders, "\n".join(offenders)
 
 

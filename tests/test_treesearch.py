@@ -708,14 +708,15 @@ def _set_tokens(s, q, k):
     ids=["generic", "kite", "trapezoid", "parallelogram", "family-II", "near-unit-13"],
 )
 def test_marked_moves_give_each_set_one_token_id(leaf, tol):
-    # The set pass gives a glued set the token id of the move that made it.
-    # Every marked move that makes one concrete set gives it the same id,
-    # and that id's tokens are the set's own kinds and quotients.
+    # The set pass gives a glued set the token id that the skeleton's
+    # follow map gives the move that made it. Every marked move (one in
+    # follow) that makes one concrete set gives it the same id, and that
+    # id's tokens are the set's own kinds and quotients.
     targets = [leaf, flip(leaf)] if isinstance(leaf, GenericQuad) else [leaf]
     q = affine_quotient(leaf)
     shared = 0
     for n in range(2, 8):
-        ids, moves, marked = treesearch._skeleton(leaf, n, targets, tol)
+        ids, _, follow, _ = treesearch._skeleton(leaf, n, targets, tol)
         # levels[k]: concrete set -> the ids its marked moves give it
         levels = [{}, {singleton(leaf): {0}}]
         for k in range(2, n + 1):
@@ -724,9 +725,9 @@ def test_marked_moves_give_each_set_one_token_id(leaf, tol):
                 lower, upper = _with_flags(levels[k1]), _with_flags(levels[k - k1])
                 for (s1, f1), (s2, f2) in _pairs(lower, upper, 2 * k1 == k):
                     (i1,), (i2,) = levels[k1][s1], levels[k - k1][s2]
-                    move = (k1, i1, f1, i2, f2, op)
-                    if move in marked[k]:
-                        level.setdefault(compose_sets(s1, f1, s2, f2, op), []).append(moves[k][move])
+                    to = follow[k].get((op, k1, i1, f1), {})
+                    if (i2, f2) in to:
+                        level.setdefault(compose_sets(s1, f1, s2, f2, op), []).append(to[i2, f2])
             tokens = {j: toks for toks, j in ids[k].items()}
             for root, got in level.items():
                 assert set(got) == {got[0]}, (n, k, root, got)
